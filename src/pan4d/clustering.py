@@ -225,7 +225,12 @@ def write_cluster_fields(path, embeddings: np.ndarray, objectness: np.ndarray,
 
 
 def read_cluster_fields(path) -> ClusterFields:
-    """Read a P4DE sidecar file written by write_cluster_fields."""
+    """Read a P4DE sidecar file written by write_cluster_fields.
+
+    Raises:
+        FormatError: bad header or size, non-finite embeddings, variances that
+            are not finite and positive, or objectness outside [0, 1].
+    """
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != SIDECAR_MAGIC:
@@ -243,6 +248,12 @@ def read_cluster_fields(path) -> ClusterFields:
     emb = np.frombuffer(body, dtype="<f4", count=n * d).reshape(n, d)
     obj = np.frombuffer(body, dtype="<f4", count=n, offset=n * d * 4)
     var = np.frombuffer(body, dtype="<f4", count=n * d, offset=(n * d + n) * 4).reshape(n, d)
+    if not np.isfinite(emb).all():
+        raise FormatError(f"{path}: non-finite embedding value")
+    if not (np.isfinite(var) & (var > 0)).all():
+        raise FormatError(f"{path}: variances must be finite and strictly positive")
+    if not ((obj >= 0) & (obj <= 1)).all():
+        raise FormatError(f"{path}: objectness outside [0, 1]")
     return ClusterFields(
         embeddings=emb.copy(), variances=var.copy(), objectness=obj.copy()
     )

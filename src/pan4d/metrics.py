@@ -14,6 +14,7 @@ matching step.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import defaultdict
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import ValidationError
 
-_SHIFT = np.int64(32)
-_MASK = np.int64((1 << 32) - 1)
+_SHIFT = 32  # (a << _SHIFT) | b packs two ids in [0, 2**31) into one int64
+_MASK = (1 << _SHIFT) - 1
 
 
 @dataclass(frozen=True)
@@ -63,34 +64,101 @@ def _as_arrays(item):
     return np.asarray(sem, dtype=np.int64), np.asarray(inst, dtype=np.int64)
 
 
+def _counts(ids):
+    """{id: points} over an id array."""
+    uniq, cnt = np.unique(ids, return_counts=True)
+    return dict(zip(uniq.tolist(), cnt.tolist()))
+
+
+def _pair_counts(a, b):
+    """{(a id, b id): points} over two aligned id arrays."""
+    keys, cnt = np.unique((a << _SHIFT) | b, return_counts=True)
+    return {(k >> _SHIFT, k & _MASK): n for k, n in zip(keys.tolist(), cnt.tolist())}
+
+
+def _match_segments(stat, gt_sizes, pred_sizes, overlaps, threshold):
+    """Greedy unique matching of one class's segments; adds to stat.
+
+    Pairs count only strictly above threshold. They are taken best IoU first,
+    ties broken by (gt id, pred id), each segment at most once. Returns the
+    accepted (iou, gt id, pred id) triples in acceptance order.
+    """
+    candidates = [
+        (n / (gt_sizes[g] + pred_sizes[p] - n), g, p) for (g, p), n in overlaps.items()
+    ]
+    used_g, used_p, matches = set(), set(), []
+    for iou, g, p in sorted((c for c in candidates if c[0] > threshold),
+                            key=lambda c: (-c[0], c[1], c[2])):
+        if g in used_g or p in used_p:
+            continue
+        used_g.add(g)
+        used_p.add(p)
+        matches.append((iou, g, p))
+        stat["tp"] += 1
+        stat["iou_sum"] += iou
+    stat["fp"] += len(pred_sizes) - len(matches)
+    stat["fn"] += len(gt_sizes) - len(matches)
+    return matches
+
+
+def _match_stuff(stat, n_gt, n_pred, n_overlap, threshold):
+    """A stuff class is one segment per frame on each side; match or miss it."""
+    if n_gt == 0 and n_pred == 0:
+        return
+    iou = n_overlap / (n_gt + n_pred - n_overlap)
+    if iou > threshold:
+        stat["tp"] += 1
+        stat["iou_sum"] += iou
+        return
+    if n_pred:
+        stat["fp"] += 1
+    if n_gt:
+        stat["fn"] += 1
+
+
+def _new_segment_stats(classes):
+    return {c: {"tp": 0, "fp": 0, "fn": 0, "iou_sum": 0.0, "ids": 0, "switch_iou": 0.0}
+            for c in classes}
+
+
+def _mean(values):
+    return float(np.mean(values)) if values else 0.0
+
+
 class PanopticEvaluator:
-    """Streaming accumulator; feed scans in temporal order per sequence."""
+    """Streaming accumulator; feed scans in temporal order per sequence.
+
+    result() reads the counts without changing them, so it may be called at
+    any point and any number of times.
+    """
 
     def __init__(self, config: EvalConfig, pq_per_scan: bool = True):
         self.config = config
         self.pq_per_scan = pq_per_scan
         self._things = np.array(sorted(config.things), dtype=np.int64)
         self._ignore = np.array(sorted(config.ignore), dtype=np.int64)
-        # semantic confusion: (gt class, pred class) -> point count
+        # semantic confusion: (seq, gt class, pred class) -> point count
         self.confusion = defaultdict(int)
         # association tubes
         self.gt_tube_sizes = defaultdict(int)  # (seq, id) -> points
         self.pr_tube_sizes = defaultdict(int)
         self.tube_overlaps = defaultdict(int)  # (seq, gid, pid) -> points
-        # per-class segment stats (thing classes; PQ frame = scan or sequence)
-        self.seg = {
-            c: {"tp": 0, "fp": 0, "fn": 0, "iou_sum": 0.0, "ids": 0, "switch_iou": 0.0}
-            for c in config.classes
-        }
-        # 4D-PQ accumulators (used when pq_per_scan is False)
-        self._tube4d_gt = defaultdict(int)  # (seq, class, id) -> points
-        self._tube4d_pr = defaultdict(int)
-        self._tube4d_ov = defaultdict(int)  # (seq, class, gid, pid) -> points
-        self._stuff4d_gt = defaultdict(int)  # (seq, class) -> points
-        self._stuff4d_pr = defaultdict(int)
-        self._stuff4d_ov = defaultdict(int)
+        # per-class segment stats, matched scan by scan (pq_per_scan)
+        self.seg = _new_segment_stats(config.classes)
         self._last_match = {}  # (seq, class, gt id) -> pred id
-        self.warnings = []
+        # whole-sequence segments (not pq_per_scan), matched in result():
+        # thing class -> ({(seq, id): points} gt, same pred, {(gt, pred): points})
+        self._tubes4d = {
+            c: (defaultdict(int), defaultdict(int), defaultdict(int)) for c in config.things
+        }
+        self._stuff4d = defaultdict(lambda: [0, 0, 0])  # (seq, class) -> [gt, pred, overlap]
+
+    @property
+    def warnings(self):
+        """Conditions the report should mention, derived from the counts."""
+        if not self.gt_tube_sizes:
+            return ["no ground-truth tubes; association score defined as 1.0"]
+        return []
 
     # -- accumulation ------------------------------------------------------
 
@@ -105,197 +173,126 @@ class PanopticEvaluator:
         gs, ps = gt_sem[valid], pr_sem[valid]
         gi, pi = gt_inst[valid], pr_inst[valid]
 
-        for key, cnt in zip(*np.unique((gs << _SHIFT) | ps, return_counts=True)):
-            self.confusion[(int(key >> _SHIFT), int(key & _MASK))] += int(cnt)
+        for (g, p), n in _pair_counts(gs, ps).items():
+            self.confusion[(seq, g, p)] += n
 
         g_tube = np.isin(gs, self._things) & (gi != 0)
         p_tube = np.isin(ps, self._things) & (pi != 0)
-        for uid, cnt in zip(*np.unique(gi[g_tube], return_counts=True)):
-            self.gt_tube_sizes[(seq, int(uid))] += int(cnt)
-        for uid, cnt in zip(*np.unique(pi[p_tube], return_counts=True)):
-            self.pr_tube_sizes[(seq, int(uid))] += int(cnt)
+        for uid, n in _counts(gi[g_tube]).items():
+            self.gt_tube_sizes[(seq, uid)] += n
+        for uid, n in _counts(pi[p_tube]).items():
+            self.pr_tube_sizes[(seq, uid)] += n
         both = g_tube & p_tube
-        for key, cnt in zip(*np.unique((gi[both] << _SHIFT) | pi[both], return_counts=True)):
-            self.tube_overlaps[(seq, int(key >> _SHIFT), int(key & _MASK))] += int(cnt)
+        for (g, p), n in _pair_counts(gi[both], pi[both]).items():
+            self.tube_overlaps[(seq, g, p)] += n
 
-        if self.pq_per_scan:
-            self._match_scan_segments(gs, gi, ps, pi, seq)
-        else:
-            self._accumulate_4d_segments(gs, gi, ps, pi, seq)
-
-    def _match_scan_segments(self, gs, gi, ps, pi, seq):
         thr = self.config.pq_match_threshold
         for c in self.config.things:
             g_mask = (gs == c) & (gi != 0)
             p_mask = (ps == c) & (pi != 0)
-            if not g_mask.any() and not p_mask.any():
-                continue
-            g_ids, g_cnt = np.unique(gi[g_mask], return_counts=True)
-            p_ids, p_cnt = np.unique(pi[p_mask], return_counts=True)
-            g_sizes = dict(zip(g_ids.tolist(), g_cnt.tolist()))
-            p_sizes = dict(zip(p_ids.tolist(), p_cnt.tolist()))
             inter = g_mask & p_mask
+            sizes = (_counts(gi[g_mask]), _counts(pi[p_mask]), _pair_counts(gi[inter], pi[inter]))
+            if not self.pq_per_scan:
+                for acc, counts in zip(self._tubes4d[c], sizes):
+                    for key, n in counts.items():
+                        acc[(seq, key)] += n
+                continue
             stat = self.seg[c]
-            matched_g, matched_p = set(), set()
-            if inter.any():
-                keys, cnts = np.unique((gi[inter] << _SHIFT) | pi[inter], return_counts=True)
-                candidates = []
-                for key, n_ov in zip(keys.tolist(), cnts.tolist()):
-                    g, p = key >> 32, key & 0xFFFFFFFF
-                    iou = n_ov / (g_sizes[g] + p_sizes[p] - n_ov)
-                    if iou > thr:
-                        candidates.append((-iou, g, p))
-                # unique matching; automatic above 0.5, greedy below it
-                for neg_iou, g, p in sorted(candidates):
-                    if g in matched_g or p in matched_p:
-                        continue
-                    stat["tp"] += 1
-                    stat["iou_sum"] += -neg_iou
-                    matched_g.add(g)
-                    matched_p.add(p)
-                    track = (seq, c, g)
-                    last = self._last_match.get(track)
-                    if last is not None and last != p:
-                        stat["ids"] += 1
-                        stat["switch_iou"] += -neg_iou
-                    self._last_match[track] = p
-            stat["fp"] += len(p_sizes) - len(matched_p)
-            stat["fn"] += len(g_sizes) - len(matched_g)
+            for iou, g, p in _match_segments(stat, *sizes, thr):
+                track = (seq, c, g)
+                last = self._last_match.get(track)
+                if last is not None and last != p:
+                    stat["ids"] += 1
+                    stat["switch_iou"] += iou
+                self._last_match[track] = p
 
         for c in self.config.stuff:
-            g_mask = gs == c
-            p_mask = ps == c
-            ng, npr = int(g_mask.sum()), int(p_mask.sum())
-            if ng == 0 and npr == 0:
-                continue
-            stat = self.seg[c]
-            n_ov = int((g_mask & p_mask).sum())
-            iou = n_ov / (ng + npr - n_ov) if (ng + npr - n_ov) else 0.0
-            if iou > self.config.pq_match_threshold:
-                stat["tp"] += 1
-                stat["iou_sum"] += iou
+            g_mask, p_mask = gs == c, ps == c
+            counts = (int(g_mask.sum()), int(p_mask.sum()), int((g_mask & p_mask).sum()))
+            if self.pq_per_scan:
+                _match_stuff(self.seg[c], *counts, thr)
             else:
-                if npr:
-                    stat["fp"] += 1
-                if ng:
-                    stat["fn"] += 1
+                acc = self._stuff4d[(seq, c)]
+                for k, n in enumerate(counts):
+                    acc[k] += n
 
-    def _accumulate_4d_segments(self, gs, gi, ps, pi, seq):
-        for c in self.config.things:
-            g_mask = (gs == c) & (gi != 0)
-            p_mask = (ps == c) & (pi != 0)
-            for uid, cnt in zip(*np.unique(gi[g_mask], return_counts=True)):
-                self._tube4d_gt[(seq, c, int(uid))] += int(cnt)
-            for uid, cnt in zip(*np.unique(pi[p_mask], return_counts=True)):
-                self._tube4d_pr[(seq, c, int(uid))] += int(cnt)
-            inter = g_mask & p_mask
-            for key, cnt in zip(*np.unique((gi[inter] << _SHIFT) | pi[inter], return_counts=True)):
-                self._tube4d_ov[(seq, c, int(key >> _SHIFT), int(key & _MASK))] += int(cnt)
-        for c in self.config.stuff:
-            self._stuff4d_gt[(seq, c)] += int((gs == c).sum())
-            self._stuff4d_pr[(seq, c)] += int((ps == c).sum())
-            self._stuff4d_ov[(seq, c)] += int(((gs == c) & (ps == c)).sum())
-
-    def _finalize_4d_segments(self):
+    def _segments_4d(self):
+        """Segment stats over whole-sequence frames: one tube per (seq, id) and
+        one stuff segment per (seq, class)."""
         thr = self.config.pq_match_threshold
-        by_class = defaultdict(list)
-        for (seq, c, g, p), n_ov in self._tube4d_ov.items():
-            iou = n_ov / (
-                self._tube4d_gt[(seq, c, g)] + self._tube4d_pr[(seq, c, p)] - n_ov
-            )
-            by_class[c].append(((seq, g), (seq, p), iou))
-        for c in self.config.things:
-            stat = self.seg[c]
-            matched_g, matched_p = set(), set()
-            ranked = sorted(by_class.get(c, []), key=lambda x: (-x[2], x[0], x[1]))
-            for g, p, iou in ranked:
-                if iou <= thr or g in matched_g or p in matched_p:
-                    continue
-                stat["tp"] += 1
-                stat["iou_sum"] += iou
-                matched_g.add(g)
-                matched_p.add(p)
-            n_g = sum(1 for (seq, cc, _) in self._tube4d_gt if cc == c)
-            n_p = sum(1 for (seq, cc, _) in self._tube4d_pr if cc == c)
-            stat["fn"] += n_g - len(matched_g)
-            stat["fp"] += n_p - len(matched_p)
-        seqs = {k[0] for k in self._stuff4d_gt} | {k[0] for k in self._stuff4d_pr}
-        for c in self.config.stuff:
-            stat = self.seg[c]
-            for seq in sorted(seqs):
-                ng = self._stuff4d_gt.get((seq, c), 0)
-                npr = self._stuff4d_pr.get((seq, c), 0)
-                if ng == 0 and npr == 0:
-                    continue
-                n_ov = self._stuff4d_ov.get((seq, c), 0)
-                iou = n_ov / (ng + npr - n_ov) if (ng + npr - n_ov) else 0.0
-                if iou > thr:
-                    stat["tp"] += 1
-                    stat["iou_sum"] += iou
-                else:
-                    if npr:
-                        stat["fp"] += 1
-                    if ng:
-                        stat["fn"] += 1
+        seg = _new_segment_stats(self.config.classes)
+        for c, (gt_sizes, pred_sizes, overlaps) in self._tubes4d.items():
+            pairs = {((seq, g), (seq, p)): n for (seq, (g, p)), n in overlaps.items()}
+            _match_segments(seg[c], gt_sizes, pred_sizes, pairs, thr)
+        for (_, c), counts in sorted(self._stuff4d.items()):
+            _match_stuff(seg[c], *counts, thr)
+        return seg
 
     # -- results -----------------------------------------------------------
 
-    def semantic_iou(self):
-        """Per-class IoU from the pooled point-level confusion counts."""
-        per_class = {}
-        for c in self.config.classes:
-            tp = self.confusion.get((c, c), 0)
-            fp = sum(n for (g, p), n in self.confusion.items() if p == c and g != c)
-            fn = sum(n for (g, p), n in self.confusion.items() if g == c and p != c)
-            if tp + fp + fn == 0:
+    def semantic_iou(self, seq=None):
+        """Per-class IoU from the point-level confusion counts, pooled over
+        all sequences or of sequence seq."""
+        tp, fp, fn = defaultdict(int), defaultdict(int), defaultdict(int)
+        for (s, g, p), n in self.confusion.items():
+            if seq is not None and s != seq:
                 continue
-            per_class[c] = tp / (tp + fp + fn)
-        return per_class
+            if g == p:
+                tp[g] += n
+            else:
+                fp[p] += n
+                fn[g] += n
+        return {
+            c: tp[c] / (tp[c] + fp[c] + fn[c])
+            for c in self.config.classes
+            if tp[c] + fp[c] + fn[c]
+        }
 
-    def association_score(self):
-        """TPA-weighted tube IoU, averaged over ground-truth tubes."""
-        if not self.gt_tube_sizes:
-            self.warnings.append("no ground-truth tubes; association score defined as 1.0")
-            return 1.0
+    def association_score(self, seq=None):
+        """TPA-weighted tube IoU, averaged over ground-truth tubes (all, or
+        those of sequence seq); 1.0 when there are none."""
         inner = defaultdict(float)
-        for (seq, g, p), tpa in self.tube_overlaps.items():
-            gt_size = self.gt_tube_sizes[(seq, g)]
-            pr_size = self.pr_tube_sizes[(seq, p)]
-            inner[(seq, g)] += tpa * (tpa / (gt_size + pr_size - tpa))
+        for (s, g, p), tpa in self.tube_overlaps.items():
+            if seq is None or s == seq:
+                gt_size = self.gt_tube_sizes[(s, g)]
+                pr_size = self.pr_tube_sizes[(s, p)]
+                inner[(s, g)] += tpa * (tpa / (gt_size + pr_size - tpa))
+        tubes = [(k, n) for k, n in self.gt_tube_sizes.items() if seq is None or k[0] == seq]
+        if not tubes:
+            return 1.0
         total = 0.0
-        for key, gt_size in self.gt_tube_sizes.items():
+        for key, gt_size in tubes:
             total += inner.get(key, 0.0) / gt_size
-        return total / len(self.gt_tube_sizes)
+        return total / len(tubes)
 
     def result(self) -> "MetricReport":
-        if not self.pq_per_scan:
-            self._finalize_4d_segments()
-
+        seg = self.seg if self.pq_per_scan else self._segments_4d()
         iou_per_class = self.semantic_iou()
-        s_cls = float(np.mean(list(iou_per_class.values()))) if iou_per_class else 0.0
+        s_cls = _mean(list(iou_per_class.values()))
         things_iou = [v for c, v in iou_per_class.items() if c in self.config.things]
         stuff_iou = [v for c, v in iou_per_class.items() if c in self.config.stuff]
         s_assoc = self.association_score()
 
-        pq_per_class = {}
+        pq_per_class, mots_per_class = {}, {}
         for c in self.config.classes:
-            stat = self.seg[c]
-            tp, fp, fn = stat["tp"], stat["fp"], stat["fn"]
+            stat = seg[c]
+            tp, fp, fn, ids, iou_sum = (stat[k] for k in ("tp", "fp", "fn", "ids", "iou_sum"))
             denom = tp + 0.5 * fp + 0.5 * fn
             if denom == 0:
                 continue
-            pq_c = stat["iou_sum"] / denom
-            sq_c = stat["iou_sum"] / tp if tp else 0.0
-            rq_c = tp / denom
-            entry = {
-                "pq": pq_c, "sq": sq_c, "rq": rq_c,
-                "tp": tp, "fp": fp, "fn": fn, "iou_sum": stat["iou_sum"],
+            pq_per_class[c] = {
+                "pq": iou_sum / denom, "sq": iou_sum / tp if tp else 0.0, "rq": tp / denom,
+                "tp": tp, "fp": fp, "fn": fn, "iou_sum": iou_sum,
             }
             if c in self.config.things:
-                entry["ptq"] = (stat["iou_sum"] - stat["ids"]) / denom
-                entry["sptq"] = (stat["iou_sum"] - stat["switch_iou"]) / denom
-                entry["ids"] = stat["ids"]
-            pq_per_class[c] = entry
+                pq_per_class[c].update(
+                    ptq_from_counts(tp, fp, fn, ids, iou_sum, stat["switch_iou"]), ids=ids
+                )
+                mots_per_class[c] = {
+                    "tp": tp, "fp": fp, "fn": fn, "ids": ids, "gt_segments": tp + fn,
+                    **mots_from_counts(tp, fp, fn, ids, iou_sum),
+                }
+        mots_per_class = dict(sorted(mots_per_class.items()))
 
         # PQ-dagger: stuff classes contribute their plain class IoU
         pq_dagger_per_class = {}
@@ -306,26 +303,7 @@ class PanopticEvaluator:
             elif c in iou_per_class:
                 pq_dagger_per_class[c] = iou_per_class[c]
 
-        mots_per_class = {}
-        for c in sorted(self.config.things):
-            stat = self.seg[c]
-            tp, fp, fn, ids = stat["tp"], stat["fp"], stat["fn"], stat["ids"]
-            if tp + fp + fn == 0:
-                continue
-            gt_segments = tp + fn
-            mots_per_class[c] = {
-                "tp": tp, "fp": fp, "fn": fn, "ids": ids,
-                "gt_segments": gt_segments,
-                "precision": tp / (tp + fp) if tp + fp else 0.0,
-                "recall": tp / (tp + fn) if tp + fn else 0.0,
-                "motsa": 1.0 - (fp + fn + ids) / gt_segments if gt_segments else 0.0,
-                "smotsa": (stat["iou_sum"] - fp - ids) / gt_segments if gt_segments else 0.0,
-            }
-
-        def _mean(values):
-            return float(np.mean(values)) if values else 0.0
-
-        report = MetricReport(
+        return MetricReport(
             s_cls=s_cls,
             s_assoc=s_assoc,
             lstq=lstq(s_cls, s_assoc),
@@ -346,9 +324,8 @@ class PanopticEvaluator:
             sptq_mean=_mean([v["sptq"] for v in pq_per_class.values() if "sptq" in v]),
             n_gt_tubes=len(self.gt_tube_sizes),
             n_pred_tubes=len(self.pr_tube_sizes),
-            warnings=list(self.warnings),
+            warnings=self.warnings,
         )
-        return report
 
 
 @dataclass
@@ -449,27 +426,34 @@ def _fmt(v):
 # -- functional wrappers ----------------------------------------------------
 
 
-def _run_stream(gt_stream, pred_stream, config, pq_per_scan=True, seq=""):
-    ev = PanopticEvaluator(config, pq_per_scan=pq_per_scan)
-    gt_list, pred_list = list(gt_stream), list(pred_stream)
-    if len(gt_list) != len(pred_list):
-        raise ValidationError("gt and pred streams have different scan counts")
-    for gt, pred in zip(gt_list, pred_list):
+_END = object()  # fill value past the end of the shorter stream
+
+
+def _feed(ev, gt_stream, pred_stream, seq=""):
+    """Add aligned scan pairs to ev one at a time, as the streams yield them."""
+    for gt, pred in itertools.zip_longest(gt_stream, pred_stream, fillvalue=_END):
+        if gt is _END or pred is _END:
+            raise ValidationError(
+                f"sequence {seq or '.'}: gt and pred streams differ in scan count"
+            )
         ev.add_scan(gt, pred, seq=seq)
-    return ev
+
+
+def _report(gt_stream, pred_stream, config, pq_per_scan=True):
+    ev = PanopticEvaluator(config, pq_per_scan=pq_per_scan)
+    _feed(ev, gt_stream, pred_stream)
+    return ev.result()
 
 
 def s_cls(gt_stream, pred_stream, config: EvalConfig):
     """Class-mean point IoU over the whole stream; returns (per_class, mean)."""
-    ev = _run_stream(gt_stream, pred_stream, config)
-    per_class = ev.semantic_iou()
-    mean = float(np.mean(list(per_class.values()))) if per_class else 0.0
-    return per_class, mean
+    report = _report(gt_stream, pred_stream, config)
+    return report.iou_per_class, report.s_cls
 
 
 def s_assoc(gt_stream, pred_stream, config: EvalConfig) -> float:
     """Streaming association score."""
-    return _run_stream(gt_stream, pred_stream, config).association_score()
+    return _report(gt_stream, pred_stream, config).s_assoc
 
 
 def lstq(s_cls_value: float, s_assoc_value: float) -> float:
@@ -514,7 +498,7 @@ def brute_force_s_assoc(gt_stream, pred_stream, config: EvalConfig) -> float:
 
 def panoptic_quality(gt_stream, pred_stream, config: EvalConfig, per_scan: bool = True):
     """PQ/SQ/RQ/PQ-dagger; per_scan=True matches segments scan by scan."""
-    report = _run_stream(gt_stream, pred_stream, config, pq_per_scan=per_scan).result()
+    report = _report(gt_stream, pred_stream, config, pq_per_scan=per_scan)
     return {
         "pq": report.pq,
         "sq": report.sq,
@@ -526,12 +510,12 @@ def panoptic_quality(gt_stream, pred_stream, config: EvalConfig, per_scan: bool 
 
 def mots_metrics(gt_stream, pred_stream, config: EvalConfig):
     """Per-class MOTS counts and scores (things only)."""
-    return _run_stream(gt_stream, pred_stream, config).result().mots_per_class
+    return _report(gt_stream, pred_stream, config).mots_per_class
 
 
 def ptq_metrics(gt_stream, pred_stream, config: EvalConfig):
     """Per-class and mean PTQ/sPTQ."""
-    report = _run_stream(gt_stream, pred_stream, config).result()
+    report = _report(gt_stream, pred_stream, config)
     per_class = {
         c: {"ptq": v["ptq"], "sptq": v["sptq"], "ids": v["ids"]}
         for c, v in report.pq_per_class.items()
@@ -547,9 +531,9 @@ def mots_from_counts(tp: int, fp: int, fn: int, ids: int, iou_sum: float | None 
     """
     gt_segments = tp + fn
     out = {
-        "motsa": 1.0 - (fp + fn + ids) / gt_segments if gt_segments else 0.0,
         "precision": tp / (tp + fp) if tp + fp else 0.0,
         "recall": tp / (tp + fn) if tp + fn else 0.0,
+        "motsa": 1.0 - (fp + fn + ids) / gt_segments if gt_segments else 0.0,
     }
     if iou_sum is not None:
         out["smotsa"] = (iou_sum - fp - ids) / gt_segments if gt_segments else 0.0
@@ -575,27 +559,20 @@ def evaluate(gt_sequences: dict, pred_sequences: dict, config: EvalConfig) -> Me
     gt ids are namespaced per sequence (tubes never cross sequences); class
     counts are pooled before the IoU. With config.per_sequence, the stream
     scores (s_cls, s_assoc, lstq, miou) are instead averaged over per-sequence
-    values; segment-level counts stay pooled.
+    values taken from the same counts; segment-level counts stay pooled.
+    Streams are consumed one scan pair at a time.
     """
     if set(gt_sequences) != set(pred_sequences):
         raise ValidationError("gt and pred sequence sets differ")
     ev = PanopticEvaluator(config)
-    per_seq = {}
-    for seq in sorted(gt_sequences):
-        gt_list, pred_list = list(gt_sequences[seq]), list(pred_sequences[seq])
-        if len(gt_list) != len(pred_list):
-            raise ValidationError(f"sequence {seq}: scan count mismatch")
-        if config.per_sequence:
-            per_seq[seq] = PanopticEvaluator(config)
-        for gt, pred in zip(gt_list, pred_list):
-            ev.add_scan(gt, pred, seq=seq)
-            if config.per_sequence:
-                per_seq[seq].add_scan(gt, pred, seq=seq)
+    seqs = sorted(gt_sequences)
+    for seq in seqs:
+        _feed(ev, gt_sequences[seq], pred_sequences[seq], seq)
     report = ev.result()
-    if config.per_sequence and per_seq:
-        sub = [e.result() for e in per_seq.values()]
-        report.s_cls = float(np.mean([r.s_cls for r in sub]))
-        report.s_assoc = float(np.mean([r.s_assoc for r in sub]))
-        report.miou = float(np.mean([r.miou for r in sub]))
+    if config.per_sequence and seqs:
+        report.s_cls = report.miou = _mean(
+            [_mean(list(ev.semantic_iou(seq).values())) for seq in seqs]
+        )
+        report.s_assoc = _mean([ev.association_score(seq) for seq in seqs])
         report.lstq = lstq(report.s_cls, report.s_assoc)
     return report

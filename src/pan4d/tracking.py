@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .clustering import (
+    ClusterFields,
     ClusterParams,
     build_point_features,
     cluster_volume,
@@ -61,15 +62,11 @@ class TrackLedger:
     """Issues fresh global instance ids; ids are never reused in a sequence."""
 
     next_id: int = 1
-    window_maps: dict = field(default_factory=dict)  # window id -> {local: global}
 
     def fresh(self) -> int:
         gid = self.next_id
         self.next_id += 1
         return gid
-
-    def record(self, window_id, mapping):
-        self.window_maps[window_id] = dict(mapping)
 
 
 def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger,
@@ -123,7 +120,6 @@ def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger
     for cid in cur_ids:
         if cid not in mapping:
             mapping[cid] = ledger.fresh()
-    ledger.record(cur.window_id, mapping)
     return mapping
 
 
@@ -231,7 +227,7 @@ def run_online_pipeline(
         v_emb, v_var, v_obj, v_sem = _fields_for_volume(volume, per_scan_fields, per_scan_sem)
 
         feats, variances = build_point_features(
-            volume.coords, _VolumeFields(v_emb, v_var, v_obj), cluster_params
+            volume.coords, ClusterFields(v_emb, v_var, v_obj), cluster_params
         )
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
         assignment = majority_vote_classes(assignment, v_sem, stuff_classes)
@@ -283,7 +279,6 @@ def run_online_pipeline(
             mapping = associate_windows(prev_result, cur_result, ledger, assoc_iou)
         else:
             mapping = {int(i): ledger.fresh() for i in np.unique(entries_inst) if i != 0}
-            ledger.record(t, mapping)
 
         global_inst = np.zeros_like(entries_inst)
         for local, gid in mapping.items():
@@ -345,11 +340,3 @@ def _emit_scan(s, coords_s, entries_scan, entries_point, entries_sem, entries_in
         inst[missing] = bf_inst
     return sem, inst
 
-
-class _VolumeFields:
-    """Adapter exposing gathered per-volume arrays as ClusterFields-alike."""
-
-    def __init__(self, embeddings, variances, objectness):
-        self.embeddings = embeddings
-        self.variances = variances
-        self.objectness = objectness

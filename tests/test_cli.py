@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 
@@ -187,6 +188,15 @@ class TestExitCodes:
         target = tmp_path / "file.xyz"
         target.write_text("")
         assert main(["inspect", str(target)]) == 1
+
+    def test_non_finite_sidecar_is_two(self, tmp_path, capsys):
+        from pan4d.clustering import write_cluster_fields
+
+        path = tmp_path / "x.p4de"
+        write_cluster_fields(path, np.ones((3, 2)), np.array([0.5, np.nan, 0.2]),
+                             np.ones((3, 2)))
+        assert main(["inspect", str(path)]) == 2
+        assert "objectness" in capsys.readouterr().err
 
     def test_missing_required_evaluate_args(self):
         assert main(["evaluate"]) == 1

@@ -303,6 +303,29 @@ class TestSidecarFormat:
         with pytest.raises(FormatError, match="magic"):
             read_cluster_fields(path)
 
+    @pytest.mark.parametrize("array, index, value", [
+        ("emb", (1, 2), np.nan),
+        ("emb", (0, 0), np.inf),
+        ("var", (3, 1), np.nan),
+        ("var", (2, 4), -np.inf),
+        ("var", (0, 0), 0.0),
+        ("obj", 5, np.nan),
+        ("obj", 4, 1.5),
+        ("obj", 0, -0.25),
+    ])
+    def test_out_of_range_values_rejected(self, tmp_path, array, index, value):
+        rng = np.random.default_rng(10)
+        arrays = {
+            "emb": rng.normal(size=(8, 5)),
+            "obj": rng.uniform(size=8),
+            "var": rng.uniform(0.5, 2.0, size=(8, 5)),
+        }
+        arrays[array][index] = value
+        path = tmp_path / "bad.p4de"
+        write_cluster_fields(path, arrays["emb"], arrays["obj"], arrays["var"])
+        with pytest.raises(FormatError, match=array[:3]):
+            read_cluster_fields(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "short.p4de"
         path.write_bytes(b"P4DE" + struct.pack("<III", 1, 2, 3) + b"\x00" * 8)

@@ -184,6 +184,27 @@ class TestPanopticQuality:
         assert out["per_class"][CAR]["tp"] == 1
         assert out["pq"] == 1.0
 
+    def test_4d_matching_keeps_sequences_apart(self, eval_config):
+        # thing tubes with the same id in two sequences are two tubes, and a
+        # stuff class forms one segment per sequence; pooled, CAR would be one
+        # 8-point tube (1 TP) and ROAD one segment of IoU 5/8 (1 TP)
+        ev = PanopticEvaluator(eval_config, pq_per_scan=False)
+        for _ in range(2):
+            ev.add_scan(([CAR, CAR, ROAD, ROAD], [1, 1, 0, 0]),
+                        ([CAR, CAR, ROAD, ROAD], [1, 1, 0, 0]), seq="a")
+        ev.add_scan(([CAR, CAR, ROAD, ROAD], [1, 1, 0, 0]),
+                    ([CAR, CAR, ROAD, CAR], [1, 1, 0, 0]), seq="b")
+        ev.add_scan(([CAR, CAR, ROAD, ROAD], [1, 1, 0, 0]),
+                    ([CAR, ROAD, CAR, CAR], [1, 0, 0, 0]), seq="b")
+        per_class = ev.result().pq_per_class
+        car, road = per_class[CAR], per_class[ROAD]
+        # a: IoU 1; b: gt tube 4 points, pred tube 3 of them -> IoU 0.75
+        assert (car["tp"], car["fp"], car["fn"]) == (2, 0, 0)
+        assert car["iou_sum"] == pytest.approx(1.75)
+        # a: IoU 1; b: gt 4 points, pred 1 of them -> IoU 0.25, a miss
+        assert (road["tp"], road["fp"], road["fn"]) == (1, 1, 1)
+        assert road["iou_sum"] == 1.0
+
     def test_sub_half_threshold_matching_stays_unique(self, eval_config):
         # pred splits the gt segment into 0.4 / 0.25 overlaps; at a relaxed
         # threshold only the better pair may match (greedy, each used once)
@@ -431,6 +452,20 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate({"a": []}, {"b": []}, eval_config)
 
+    @pytest.mark.parametrize("n_gt, n_pred", [(2, 3), (3, 2)])
+    def test_scan_count_mismatch_names_sequence(self, eval_config, n_gt, n_pred):
+        scan = ([CAR, ROAD], [1, 0])
+        gt = {"a": stream(scan, scan), "b": iter(stream(*[scan] * n_gt))}
+        pred = {"a": stream(scan, scan), "b": iter(stream(*[scan] * n_pred))}
+        with pytest.raises(ValidationError, match="sequence b: .*scan count"):
+            evaluate(gt, pred, eval_config)
+
+    def test_point_count_error_is_not_reported_as_scan_count(self, eval_config):
+        gt = stream(([CAR, ROAD], [1, 0]), ([CAR, ROAD], [1, 0]))
+        pred = stream(([CAR, ROAD], [1, 0]), ([CAR], [1]))
+        with pytest.raises(ValidationError, match="points"):
+            evaluate({"a": gt}, {"a": pred}, eval_config)
+
     def test_report_files(self, tmp_path, eval_config):
         gt = stream(([CAR] * 4 + [ROAD] * 2, [1] * 4 + [0] * 2))
         report = evaluate({"s": gt}, {"s": gt}, eval_config)
@@ -446,6 +481,29 @@ class TestEvaluate:
         data = json.loads(json_path.read_text())
         assert data["lstq"] == 1.0
         assert data["per_class"][str(CAR)]["iou"] == 1.0
+
+
+class TestResultIsPure:
+    @pytest.mark.parametrize("pq_per_scan", [True, False])
+    def test_repeated_result_is_identical(self, eval_config, pq_per_scan):
+        rng = np.random.default_rng(38)
+        ev = PanopticEvaluator(eval_config, pq_per_scan=pq_per_scan)
+        for seq in ("a", "b"):
+            gt, pred = random_stream(rng, n_scans=4, n_points=30, n_ids=2)
+            gt.append(([CAR] * 6, [9] * 6))  # at least one matched tube
+            pred.append(([CAR] * 6, [9] * 6))
+            for g, p in zip(gt, pred):
+                ev.add_scan(g, p, seq=seq)
+        first = ev.result().to_dict()
+        assert first == ev.result().to_dict()
+        assert sum(v["tp"] for v in first["per_class"].values() if "tp" in v) > 0
+
+    def test_no_gt_tubes_warns_once(self, eval_config):
+        ev = PanopticEvaluator(eval_config)
+        ev.add_scan(([ROAD, ROAD], [0, 0]), ([CAR, CAR], [1, 1]))
+        first = ev.result().to_dict()
+        assert first == ev.result().to_dict()
+        assert len(first["warnings"]) == 1
 
 
 class TestConfigValidation:
