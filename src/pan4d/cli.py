@@ -1,8 +1,10 @@
 """Command-line interface: run, evaluate, synth, check-gradients, inspect.
 
-Every subcommand is deterministic given its config file and seed; flags
-override config-file values. Exit codes: 0 ok, 1 validation failure, 2 io
-error, 3 internal invariant violation.
+Every subcommand is deterministic given its config file and seed. The
+`run` parameter flags are generated from config.RUN_PARAMS and override the
+config file's keys of the same name; argparse leaves their values as text, so
+a bad value from a flag or from the file fails alike with exit code 1. Exit
+codes: 0 ok, 1 validation failure, 2 io error, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import yaml
 
 from . import kitti_io
 from .clustering import read_cluster_fields
-from .config import eval_config_from_dict, load_yaml, run_config_from_sources
+from .config import RUN_PARAMS, eval_config_from_dict, load_yaml, run_config_from_sources
 from .errors import FormatError, Pan4DError, ValidationError
 from .losses import check_gradients
 from .metrics import evaluate, lstq
@@ -71,31 +73,8 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed):
 
 def cmd_run(args) -> int:
     file_data = load_yaml(args.config) if args.config else {}
-    overrides = {
-        "strategy": args.strategy,
-        "tau": args.tau,
-        "fraction": args.fraction,
-        "stride": args.stride,
-        "time_scale": args.time_scale,
-        "max_points": args.max_points,
-        "feature_mode": args.feature_mode,
-        "assign_prob": args.assign_prob,
-        "seed_stop": args.seed_stop,
-        "min_points": args.min_points,
-        "normalized_pdf": args.normalized_pdf or None,
-        "coord_variance": args.coord_variance,
-        "time_variance": args.time_variance,
-        "assoc_iou": args.assoc_iou,
-        "window_stride": args.window_stride,
-        "seed": args.seed,
-        "threads": args.threads,
-        "sequences": args.sequences,
-        "data_dir": args.data,
-        "out_dir": args.out,
-    }
-    cfg = run_config_from_sources(file_data, overrides)
-    if not cfg.data_dir or not cfg.out_dir:
-        raise ValidationError("cmd_run needs --data and --out")
+    keys = (*RUN_PARAMS, "data_dir", "out_dir", "sequences")
+    cfg = run_config_from_sources(file_data, {k: getattr(args, k) for k in keys})
     cfg.validate()
 
     jobs = _sequence_dirs(cfg.data_dir, cfg.sequences)
@@ -245,38 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="run the online pipeline over sequences")
-    p.add_argument("--data", help="dataset root (sequence dir, or parent of sequences)")
-    p.add_argument("--out", help="output root for prediction label files")
+    p.add_argument("--data", dest="data_dir",
+                   help="dataset root (sequence dir, or parent of sequences)")
+    p.add_argument("--out", dest="out_dir", help="output root for prediction label files")
     p.add_argument("--sequences", help="comma-separated sequence names")
     p.add_argument("--config", help="YAML config file (flags override it)")
-    p.add_argument("--strategy", choices=("base", "thing", "importance", "decay", "stride"))
-    p.add_argument("--tau", type=int, help="temporal window size (default 4)")
-    p.add_argument("--fraction", type=float, help="past-scan sampling fraction (default 0.10)")
-    p.add_argument("--stride", type=int, help="temporal stride (default 2)")
-    p.add_argument("--time-scale", dest="time_scale", type=float,
-                   help="scale applied to the window-slot time coordinate (default 1.0)")
-    p.add_argument("--max-points", dest="max_points", type=int,
-                   help="total volume point budget for the thing strategy")
-    p.add_argument("--feature-mode", dest="feature_mode",
-                   choices=("xyz", "xyzt", "emb", "emb+xyz", "emb+xyzt"))
-    p.add_argument("--assign-prob", dest="assign_prob", type=float,
-                   help="cluster assignment probability threshold (default 0.5)")
-    p.add_argument("--seed-stop", dest="seed_stop", type=float,
-                   help="objectness threshold that stops seeding (default 0.1)")
-    p.add_argument("--min-points", dest="min_points", type=int,
-                   help="minimum instance size, smaller ones are pruned (default 25)")
-    p.add_argument("--normalized-pdf", dest="normalized_pdf", action="store_true",
-                   help="keep the Gaussian normalization constant in affinities")
-    p.add_argument("--coord-variance", dest="coord_variance", type=float,
-                   help="default variance for x/y/z feature dims (default 1.0)")
-    p.add_argument("--time-variance", dest="time_variance", type=float,
-                   help="default variance for the t feature dim (default 1.0)")
-    p.add_argument("--assoc-iou", dest="assoc_iou", type=float,
-                   help="cross-window association IoU threshold (default 0.5)")
-    p.add_argument("--window-stride", dest="window_stride", type=int,
-                   help="scans between consecutive windows (default 1)")
-    p.add_argument("--seed", type=int, help="sampling seed (default 0)")
-    p.add_argument("--threads", type=int, help="per-sequence parallelism cap (default 1)")
+    for f in RUN_PARAMS.values():  # no type or choices: coerce() and validate() check
+        store = {"action": "store_true"} if f.type == "bool" else {}
+        p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
+                       help=f"{f.metadata['help']} (default {f.default})", **store)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

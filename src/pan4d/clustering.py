@@ -32,13 +32,18 @@ class ClusterFields:
 
     def __post_init__(self):
         m = self.objectness.shape[0]
-        if self.embeddings is not None and self.embeddings.shape[0] != m:
-            raise ValidationError("embeddings row count does not match objectness")
+        if self.embeddings is not None:
+            if self.embeddings.shape[0] != m:
+                raise ValidationError("embeddings row count does not match objectness")
+            if not np.isfinite(self.embeddings).all():
+                raise ValidationError("non-finite embedding value")
         if self.variances is not None:
             if self.variances.shape[0] != m:
                 raise ValidationError("variances row count does not match objectness")
-            if self.variances.size and self.variances.min() <= 0:
-                raise ValidationError("variances must be strictly positive")
+            if not (np.isfinite(self.variances) & (self.variances > 0)).all():
+                raise ValidationError("variances must be finite and strictly positive")
+        if not ((self.objectness >= 0) & (self.objectness <= 1)).all():
+            raise ValidationError("objectness must be finite and in [0, 1]")
 
     def __len__(self):
         return self.objectness.shape[0]
@@ -46,13 +51,19 @@ class ClusterFields:
 
 @dataclass
 class ClusterParams:
-    assign_prob: float = 0.5
-    seed_stop: float = 0.1
-    min_points: int = 25
-    normalized_pdf: bool = False
-    feature_mode: str = "emb+xyzt"
-    coord_variance: float = 1.0  # default variance for x, y, z dims (m^2)
-    time_variance: float = 1.0  # default variance for the t dim (slot^2)
+    """Clustering run parameters; each field's help text is its `pan4d run` flag help."""
+
+    assign_prob: float = field(default=0.5, metadata={"help": "cluster assignment probability"})
+    seed_stop: float = field(default=0.1, metadata={"help": "objectness that stops seeding"})
+    min_points: int = field(default=25, metadata={"help": "smaller instances are pruned"})
+    normalized_pdf: bool = field(default=False, metadata={
+        "help": "keep the Gaussian normalization constant in affinities"})
+    feature_mode: str = field(default="emb+xyzt", metadata={
+        "help": "clustering features: " + ", ".join(FEATURE_MODES)})
+    coord_variance: float = field(default=1.0, metadata={
+        "help": "default variance of the x/y/z feature dims (m^2)"})
+    time_variance: float = field(default=1.0, metadata={
+        "help": "default variance of the t feature dim (slot^2)"})
 
     def validate(self):
         if not 0.0 < self.assign_prob < 1.0:
@@ -228,8 +239,7 @@ def read_cluster_fields(path) -> ClusterFields:
     """Read a P4DE sidecar file written by write_cluster_fields.
 
     Raises:
-        FormatError: bad header or size, non-finite embeddings, variances that
-            are not finite and positive, or objectness outside [0, 1].
+        FormatError: bad header or size, or values that ClusterFields rejects.
     """
     with open(path, "rb") as f:
         magic = f.read(4)
@@ -248,12 +258,7 @@ def read_cluster_fields(path) -> ClusterFields:
     emb = np.frombuffer(body, dtype="<f4", count=n * d).reshape(n, d)
     obj = np.frombuffer(body, dtype="<f4", count=n, offset=n * d * 4)
     var = np.frombuffer(body, dtype="<f4", count=n * d, offset=(n * d + n) * 4).reshape(n, d)
-    if not np.isfinite(emb).all():
-        raise FormatError(f"{path}: non-finite embedding value")
-    if not (np.isfinite(var) & (var > 0)).all():
-        raise FormatError(f"{path}: variances must be finite and strictly positive")
-    if not ((obj >= 0) & (obj <= 1)).all():
-        raise FormatError(f"{path}: objectness outside [0, 1]")
-    return ClusterFields(
-        embeddings=emb.copy(), variances=var.copy(), objectness=obj.copy()
-    )
+    try:
+        return ClusterFields(embeddings=emb.copy(), variances=var.copy(), objectness=obj.copy())
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

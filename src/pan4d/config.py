@@ -10,11 +10,16 @@ command-line flags override file values. Example:
     strategy: importance
     tau: 4
     fraction: 0.10
+
+Run parameters are the dataclass fields with help text (RUN_PARAMS). Each
+is a YAML key and a `pan4d run` flag (underscores as dashes). Values from
+both go through coerce(), then validate(). Other keys than FILE_KEYS fail.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -22,6 +27,11 @@ from .clustering import ClusterParams
 from .errors import ValidationError
 from .metrics import EvalConfig
 from .volume import VolumeConfig
+
+FILE_KEYS = frozenset({
+    "classes", "things", "ignore", "names", "pq_match_threshold", "per_sequence",
+    "data_dir", "out_dir", "sequences",
+})
 
 
 def load_yaml(path) -> dict:
@@ -32,82 +42,105 @@ def load_yaml(path) -> dict:
     return data
 
 
+def coerce(key, value, type_name: str):
+    """value as the field type named by type_name (a string annotation: int,
+    float, str, bool or "int | None"), or ValidationError naming key. Strings
+    are parsed, so a flag and a YAML value of the same text agree."""
+    if value is None and type_name.endswith("| None"):
+        return None
+    base = type_name.split(" |")[0]
+    if base == "str" and isinstance(value, str) or base == "bool" and isinstance(value, bool):
+        return value
+    if base in ("int", "float") and not isinstance(value, bool):
+        try:
+            out = int(str(value)) if base == "int" else float(value)
+            if math.isfinite(out):
+                return out
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{key}: expected {type_name}, got {value!r}")
+
+
 def eval_config_from_dict(data: dict) -> EvalConfig:
     try:
-        classes = tuple(int(c) for c in data["classes"])
-        things = frozenset(int(c) for c in data["things"])
+        kwargs = {
+            "classes": tuple(int(c) for c in data["classes"]),
+            "things": frozenset(int(c) for c in data["things"]),
+        }
     except KeyError as exc:
         raise ValidationError(f"config is missing required key {exc}") from exc
-    ignore = frozenset(int(c) for c in data.get("ignore", [0]))
-    names = {int(k): str(v) for k, v in (data.get("names") or {}).items()}
-    return EvalConfig(
-        classes=classes,
-        things=things,
-        ignore=ignore,
-        pq_match_threshold=float(data.get("pq_match_threshold", 0.5)),
-        per_sequence=bool(data.get("per_sequence", False)),
-        class_names=names,
-    )
+    if "ignore" in data:
+        kwargs["ignore"] = frozenset(int(c) for c in data["ignore"])
+    if data.get("names"):
+        kwargs["class_names"] = {int(k): str(v) for k, v in data["names"].items()}
+    for f in fields(EvalConfig):
+        if f.name in ("pq_match_threshold", "per_sequence") and f.name in data:
+            kwargs[f.name] = coerce(f.name, data[f.name], f.type)
+    return EvalConfig(**kwargs)
+
+
+def _params(cls):
+    """The run-parameter fields of cls: those that carry help text."""
+    return [f for f in fields(cls) if "help" in f.metadata]
 
 
 @dataclass
 class RunConfig:
     """Everything cmd_run needs; validated before any work starts."""
 
-    data_dir: str
-    out_dir: str
+    data_dir: str = ""
+    out_dir: str = ""
     sequences: list = field(default_factory=list)  # empty = data_dir is one sequence
     volume: VolumeConfig = field(default_factory=VolumeConfig)
     cluster: ClusterParams = field(default_factory=ClusterParams)
     eval_config: EvalConfig | None = None  # class map (things/stuff/ignore)
-    assoc_iou: float = 0.5
-    window_stride: int = 1
-    seed: int = 0
-    threads: int = 1
+    assoc_iou: float = field(default=0.5, metadata={"help": "cross-window IoU threshold"})
+    window_stride: int = field(default=1, metadata={"help": "scans between consecutive windows"})
+    seed: int = field(default=0, metadata={"help": "sampling seed"})
+    threads: int = field(default=1, metadata={"help": "per-sequence parallelism cap"})
 
     def validate(self):
+        if not self.data_dir or not self.out_dir:
+            raise ValidationError("run needs a data_dir and an out_dir (--data, --out)")
         self.volume.validate()
         self.cluster.validate()
         if self.eval_config is None:
             raise ValidationError("run config needs a class map (classes/things)")
         if not 0.0 < self.assoc_iou < 1.0:
             raise ValidationError("assoc_iou must lie in (0, 1)")
-        if not 1 <= self.window_stride <= self.volume.tau:
-            raise ValidationError("window_stride must lie in [1, tau]")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
         return self
 
 
-_VOLUME_KEYS = ("strategy", "tau", "fraction", "stride", "time_scale", "max_points")
-_CLUSTER_KEYS = (
-    "assign_prob", "seed_stop", "min_points", "normalized_pdf", "feature_mode",
-    "coord_variance", "time_variance",
-)
+# every run parameter by name: its YAML key, and its flag with dashes
+RUN_PARAMS = {f.name: f for cls in (VolumeConfig, ClusterParams, RunConfig) for f in _params(cls)}
 
 
 def run_config_from_sources(file_data: dict, overrides: dict) -> RunConfig:
-    """Merge config-file values with CLI overrides (overrides win)."""
+    """Merge config-file values with CLI overrides (overrides that are not
+    None win); unknown file keys and values of the wrong type fail."""
+    unknown = sorted(set(file_data) - set(RUN_PARAMS) - FILE_KEYS, key=str)
+    if unknown:
+        raise ValidationError(f"unknown config key {unknown[0]!r}")
     merged = dict(file_data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
 
-    volume = VolumeConfig(**{k: merged[k] for k in _VOLUME_KEYS if k in merged})
-    cluster = ClusterParams(**{k: merged[k] for k in _CLUSTER_KEYS if k in merged})
-    eval_config = eval_config_from_dict(merged) if "classes" in merged else None
+    def values(cls):
+        return {f.name: coerce(f.name, merged[f.name], f.type)
+                for f in _params(cls) if f.name in merged}
 
     sequences = merged.get("sequences") or []
     if isinstance(sequences, str):
         sequences = [s for s in sequences.split(",") if s]
 
     return RunConfig(
-        data_dir=merged.get("data_dir", ""),
-        out_dir=merged.get("out_dir", ""),
+        **{k: str(merged[k]) for k in ("data_dir", "out_dir") if k in merged},
         sequences=list(sequences),
-        volume=volume,
-        cluster=cluster,
-        eval_config=eval_config,
-        assoc_iou=float(merged.get("assoc_iou", 0.5)),
-        window_stride=int(merged.get("window_stride", 1)),
-        seed=int(merged.get("seed", 0)),
-        threads=int(merged.get("threads", 1)),
+        volume=VolumeConfig(**values(VolumeConfig)),
+        cluster=ClusterParams(**values(ClusterParams)),
+        eval_config=eval_config_from_dict(merged) if "classes" in merged else None,
+        **values(RunConfig),
     )

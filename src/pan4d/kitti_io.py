@@ -24,6 +24,7 @@ from .errors import FormatError, ValidationError
 
 POINT_RECORD_BYTES = 16  # 4 x float32
 LABEL_RECORD_BYTES = 4  # 1 x uint32
+LABEL_FIELD_MAX = 0xFFFF  # semantic class and instance id each fill 16 bits of a label
 
 DEFAULT_IGNORE_CLASSES = frozenset({0})
 
@@ -183,7 +184,7 @@ def write_labels(labels: PanopticLabels, path):
     sem = np.asarray(labels.semantic, dtype=np.int64)
     inst = np.asarray(labels.instance, dtype=np.int64)
     for name, arr in (("semantic", sem), ("instance", inst)):
-        if arr.size and (arr.min() < 0 or arr.max() > 0xFFFF):
+        if arr.size and (arr.min() < 0 or arr.max() > LABEL_FIELD_MAX):
             raise ValidationError(f"{name} value outside 16-bit range")
     words = ((inst.astype(np.uint32) << 16) | sem.astype(np.uint32)).astype("<u4")
     words.tofile(path)

@@ -76,29 +76,35 @@ def _pair_counts(a, b):
     return {(k >> _SHIFT, k & _MASK): n for k, n in zip(keys.tolist(), cnt.tolist())}
 
 
-def _match_segments(stat, gt_sizes, pred_sizes, overlaps, threshold):
-    """Greedy unique matching of one class's segments; adds to stat.
+def greedy_match(sizes_a, sizes_b, overlaps, threshold):
+    """Greedy unique matching of two segment sets by IoU.
 
-    Pairs count only strictly above threshold. They are taken best IoU first,
-    ties broken by (gt id, pred id), each segment at most once. Returns the
-    accepted (iou, gt id, pred id) triples in acceptance order.
+    sizes_a/sizes_b map segment id -> points and overlaps maps (a id, b id) ->
+    shared points. Pairs count only strictly above threshold. They are taken
+    best IoU first, ties broken by (a id, b id), each segment at most once.
+    Returns the accepted (iou, a id, b id) triples in acceptance order.
     """
     candidates = [
-        (n / (gt_sizes[g] + pred_sizes[p] - n), g, p) for (g, p), n in overlaps.items()
+        (n / (sizes_a[a] + sizes_b[b] - n), a, b) for (a, b), n in overlaps.items()
     ]
-    used_g, used_p, matches = set(), set(), []
-    for iou, g, p in sorted((c for c in candidates if c[0] > threshold),
+    used_a, used_b, matches = set(), set(), []
+    for iou, a, b in sorted((c for c in candidates if c[0] > threshold),
                             key=lambda c: (-c[0], c[1], c[2])):
-        if g in used_g or p in used_p:
+        if a in used_a or b in used_b:
             continue
-        used_g.add(g)
-        used_p.add(p)
-        matches.append((iou, g, p))
+        used_a.add(a)
+        used_b.add(b)
+        matches.append((iou, a, b))
+    return matches
+
+
+def _count_matches(stat, matches, n_gt, n_pred):
+    """Add one class's matched segments to its tp/fp/fn/iou_sum counts."""
+    for iou, _, _ in matches:
         stat["tp"] += 1
         stat["iou_sum"] += iou
-    stat["fp"] += len(pred_sizes) - len(matches)
-    stat["fn"] += len(gt_sizes) - len(matches)
-    return matches
+    stat["fp"] += n_pred - len(matches)
+    stat["fn"] += n_gt - len(matches)
 
 
 def _match_stuff(stat, n_gt, n_pred, n_overlap, threshold):
@@ -198,7 +204,9 @@ class PanopticEvaluator:
                         acc[(seq, key)] += n
                 continue
             stat = self.seg[c]
-            for iou, g, p in _match_segments(stat, *sizes, thr):
+            matches = greedy_match(*sizes, thr)
+            _count_matches(stat, matches, len(sizes[0]), len(sizes[1]))
+            for iou, g, p in matches:
                 track = (seq, c, g)
                 last = self._last_match.get(track)
                 if last is not None and last != p:
@@ -223,7 +231,8 @@ class PanopticEvaluator:
         seg = _new_segment_stats(self.config.classes)
         for c, (gt_sizes, pred_sizes, overlaps) in self._tubes4d.items():
             pairs = {((seq, g), (seq, p)): n for (seq, (g, p)), n in overlaps.items()}
-            _match_segments(seg[c], gt_sizes, pred_sizes, pairs, thr)
+            matches = greedy_match(gt_sizes, pred_sizes, pairs, thr)
+            _count_matches(seg[c], matches, len(gt_sizes), len(pred_sizes))
         for (_, c), counts in sorted(self._stuff4d.items()):
             _match_stuff(seg[c], *counts, thr)
         return seg

@@ -23,7 +23,8 @@ from .clustering import (
     majority_vote_classes,
 )
 from .errors import ValidationError
-from .kitti_io import PanopticLabels
+from .kitti_io import LABEL_FIELD_MAX, PanopticLabels
+from .metrics import _counts, _pair_counts, greedy_match
 from .volume import PastScanState, Volume4D, VolumeConfig, align_scan, backfill_skipped, build_volume
 
 log = logging.getLogger(__name__)
@@ -65,6 +66,8 @@ class TrackLedger:
 
     def fresh(self) -> int:
         gid = self.next_id
+        if gid > LABEL_FIELD_MAX:
+            raise ValidationError(f"instance id {gid} exceeds the 16-bit label instance field")
         self.next_id += 1
         return gid
 
@@ -80,14 +83,11 @@ def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger
     """
     cur_ids = sorted(int(i) for i in np.unique(cur.instance) if i != 0)
     mapping = {}
-
-    common_scans = prev.scans & cur.scans
-    if not common_scans:
+    if not prev.scans & cur.scans:
         log.warning(
             "windows %d and %d share no scans; all ids start fresh",
             prev.window_id, cur.window_id,
         )
-        pairs = []
     else:
         _, prev_at, cur_at = np.intersect1d(
             prev.keys(), cur.keys(), assume_unique=True, return_indices=True
@@ -95,27 +95,9 @@ def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger
         a = prev.instance[prev_at]
         b = cur.instance[cur_at]
         both = (a != 0) & (b != 0)
-        sizes_a = dict(zip(*np.unique(a[a != 0], return_counts=True)))
-        sizes_b = dict(zip(*np.unique(b[b != 0], return_counts=True)))
-        pair_keys, pair_counts = np.unique(
-            (a[both] << _KEY_SHIFT) | b[both], return_counts=True
-        )
-        pairs = []
-        for key, n_ab in zip(pair_keys, pair_counts):
-            pa, pb = int(key >> _KEY_SHIFT), int(key & 0xFFFFFFFF)
-            iou = n_ab / (sizes_a[pa] + sizes_b[pb] - n_ab)
-            pairs.append((float(iou), pa, pb))
-        pairs.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-    used_prev, used_cur = set(), set()
-    for iou, pa, pb in pairs:
-        if iou <= iou_threshold:
-            break
-        if pa in used_prev or pb in used_cur:
-            continue
-        mapping[pb] = pa
-        used_prev.add(pa)
-        used_cur.add(pb)
+        matches = greedy_match(_counts(a[a != 0]), _counts(b[b != 0]),
+                               _pair_counts(a[both], b[both]), iou_threshold)
+        mapping = {pb: pa for _, pa, pb in matches}
 
     for cid in cur_ids:
         if cid not in mapping:

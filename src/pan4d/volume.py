@@ -21,12 +21,16 @@ STRATEGIES = ("base", "thing", "importance", "decay", "stride")
 
 @dataclass
 class VolumeConfig:
-    strategy: str = "importance"
-    tau: int = 4
-    fraction: float = 0.10
-    stride: int = 2
-    time_scale: float = 1.0
-    max_points: int | None = None  # total volume cap, None = unlimited
+    """Volume run parameters; each field's help text is its `pan4d run` flag help."""
+
+    strategy: str = field(default="importance", metadata={
+        "help": "past-scan sampling strategy: " + ", ".join(STRATEGIES)})
+    tau: int = field(default=4, metadata={"help": "temporal window size in scans"})
+    fraction: float = field(default=0.10, metadata={"help": "past-scan sampling fraction"})
+    stride: int = field(default=2, metadata={"help": "temporal stride of the stride strategy"})
+    time_scale: float = field(default=1.0, metadata={"help": "time coordinate per window slot"})
+    max_points: int | None = field(default=None, metadata={
+        "help": "total volume point budget of the thing strategy, None = unlimited"})
 
     def validate(self):
         if self.strategy not in STRATEGIES:

@@ -1,10 +1,15 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 import yaml
 
+from pan4d import cli
 from pan4d.cli import main
+from pan4d.clustering import ClusterParams
+from pan4d.config import RunConfig
+from pan4d.volume import VolumeConfig
 
 from conftest import CAR, PERSON
 
@@ -200,3 +205,129 @@ class TestExitCodes:
 
     def test_missing_required_evaluate_args(self):
         assert main(["evaluate"]) == 1
+
+
+CLASS_MAP = {"classes": [CAR, PERSON, 40], "things": [CAR, PERSON], "ignore": [0]}
+
+# (key, flag value, parsed value): one non-default setting per run parameter;
+# a flag value of None marks a store_true flag
+PARAM_CASES = [
+    ("strategy", "decay", "decay"),
+    ("tau", "3", 3),
+    ("fraction", "0.25", 0.25),
+    ("stride", "3", 3),
+    ("time_scale", "0.5", 0.5),
+    ("max_points", "700", 700),
+    ("assign_prob", "0.3", 0.3),
+    ("seed_stop", "0.2", 0.2),
+    ("min_points", "5", 5),
+    ("normalized_pdf", None, True),
+    ("feature_mode", "xyz", "xyz"),
+    ("coord_variance", "2.0", 2.0),
+    ("time_variance", "3.0", 3.0),
+    ("assoc_iou", "0.4", 0.4),
+    ("window_stride", "2", 2),
+    ("seed", "7", 7),
+    ("threads", "2", 2),
+]
+RUN_SCALARS = ("assoc_iou", "window_stride", "seed", "threads")
+
+
+def _defaults():
+    return {
+        f.name: f.default
+        for cls in (VolumeConfig, ClusterParams, RunConfig)
+        for f in fields(cls)
+        if cls is not RunConfig or f.name in RUN_SCALARS
+    }
+
+
+def _setting(cfg, key):
+    for part in (cfg.volume, cfg.cluster, cfg):
+        if hasattr(part, key):
+            return getattr(part, key)
+    raise AssertionError(f"no run parameter {key}")
+
+
+def _flags(key, flag_value):
+    flag = "--" + key.replace("_", "-")
+    return [flag] if flag_value is None else [flag, flag_value]
+
+
+@pytest.fixture
+def run_config(monkeypatch, tmp_path):
+    """Run `pan4d run` up to the per-sequence work: (exit code, RunConfig or None)."""
+    seen = []
+
+    def fake_sequence(name, seq_dir, out_root, cfg, seq_seed):
+        seen.append(cfg)
+        return name, {"scans": 0, "peak_volume_points": 0, "seconds": 0.0}, out_root
+
+    monkeypatch.setattr(cli, "_run_one_sequence", fake_sequence)
+
+    def run(file_data, *flags):
+        seen.clear()
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({**CLASS_MAP, **file_data}))
+        code = main(["run", "--data", str(tmp_path), "--out", str(tmp_path / "out"),
+                     "--config", str(path), *flags])
+        return code, (seen[0] if seen else None)
+
+    return run
+
+
+class TestRunParameters:
+    def test_table_covers_every_parameter(self):
+        assert {key for key, _, _ in PARAM_CASES} == set(_defaults())
+
+    @pytest.mark.parametrize("key, flag_value, value", PARAM_CASES)
+    def test_flag_sets_parameter(self, run_config, key, flag_value, value):
+        code, cfg = run_config({}, *_flags(key, flag_value))
+        assert code == 0
+        assert _setting(cfg, key) == value
+
+    @pytest.mark.parametrize("key, flag_value, value", PARAM_CASES)
+    def test_file_key_sets_parameter(self, run_config, key, flag_value, value):
+        code, cfg = run_config({key: value})
+        assert code == 0
+        assert _setting(cfg, key) == value
+
+    @pytest.mark.parametrize("key, flag_value, value", PARAM_CASES)
+    def test_flag_overrides_file(self, run_config, key, flag_value, value):
+        code, cfg = run_config({key: _defaults()[key]}, *_flags(key, flag_value))
+        assert code == 0
+        assert _setting(cfg, key) == value
+
+    def test_absent_parameters_keep_defaults(self, run_config):
+        code, cfg = run_config({})
+        assert code == 0
+        assert {key: _setting(cfg, key) for key in _defaults()} == _defaults()
+
+    @pytest.mark.parametrize("file_data, flags, key", [
+        ({}, ["--strategy", "bogus"], "strategy"),
+        ({}, ["--feature-mode", "nope"], "feature_mode"),
+        ({}, ["--tau", "abc"], "tau"),
+        ({}, ["--coord-variance", "inf"], "coord_variance"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({"tau": "x"}, [], "tau"),
+        ({"tau": 2.5}, [], "tau"),
+        ({"seed_stop": "x"}, [], "seed_stop"),
+        ({"normalized_pdf": "no"}, [], "normalized_pdf"),
+        ({"fracton": 0.2}, [], "fracton"),
+    ])
+    def test_bad_value_or_key_exits_one(self, run_config, capsys, file_data, flags, key):
+        code, cfg = run_config(file_data, *flags)
+        assert code == 1
+        assert cfg is None
+        assert key in capsys.readouterr().err
+
+    def test_window_stride_beyond_tau_exits_one(self, dataset, tmp_path, capsys):
+        root, data_dir = dataset
+        code = main([
+            "run", "--data", str(data_dir), "--sequences", "00",
+            "--out", str(tmp_path / "x"), "--config", str(data_dir / "classes.yaml"),
+            "--tau", "2", "--window-stride", "3",
+        ])
+        assert code == 1
+        assert "window_stride" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "00" / "predictions").exists()

@@ -63,6 +63,27 @@ class TestFeatures:
         np.testing.assert_array_equal(variances, [[2.0, 2.0, 2.0, 9.0]])
 
 
+class TestClusterFieldsValues:
+    @pytest.mark.parametrize("array, index, value", [
+        ("emb", (1, 0), np.nan),
+        ("emb", (0, 1), -np.inf),
+        ("var", (1, 1), np.inf),
+        ("var", (0, 0), np.nan),
+        ("obj", 0, np.nan),
+        ("obj", 1, 2.0),
+        ("obj", 1, -0.5),
+    ])
+    def test_bad_values_rejected_at_construction(self, array, index, value):
+        arrays = {"emb": np.zeros((2, 2)), "var": np.ones((2, 2)), "obj": np.full(2, 0.5)}
+        arrays[array][index] = value
+        with pytest.raises(ValidationError, match=array):
+            ClusterFields(arrays["emb"], arrays["var"], arrays["obj"])
+
+    def test_coordinate_only_fields_still_check_objectness(self):
+        with pytest.raises(ValidationError, match="obj"):
+            ClusterFields(None, None, np.array([0.2, 1.5]))
+
+
 class TestGaussianAffinity:
     def test_equal_embeddings_give_one(self):
         p = gaussian_affinity(np.array([1.0, 2.0]), np.array([1.0, 2.0]),

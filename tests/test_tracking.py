@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pan4d.clustering import ClusterParams
+from pan4d.errors import ValidationError
 from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
 from pan4d.tracking import TrackLedger, WindowResult, associate_windows, run_online_pipeline
 from pan4d.volume import VolumeConfig
@@ -96,6 +97,18 @@ class TestAssociateWindows:
         ledger = TrackLedger(next_id=7)
         mapping = associate_windows(prev, cur, ledger)
         assert mapping == {30: 6}
+
+    def test_fresh_id_beyond_label_field_rejected_when_issued(self):
+        prev = window(0, [(0, 0, 1, CAR)], {0})
+        cur = window(1, [(1, p, 1, CAR) for p in range(3)], {1})
+        with pytest.raises(ValidationError, match="16-bit"):
+            associate_windows(prev, cur, TrackLedger(next_id=0x10000))
+
+    def test_last_id_of_label_field_still_issued(self):
+        ledger = TrackLedger(next_id=0xFFFF)
+        assert ledger.fresh() == 0xFFFF
+        with pytest.raises(ValidationError):
+            ledger.fresh()
 
     def test_fresh_ids_strictly_increase(self):
         prev = window(0, [(0, 0, 1, CAR)], {0})
