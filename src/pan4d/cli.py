@@ -3,8 +3,9 @@
 Every subcommand is deterministic given its config file and seed. The
 `run` parameter flags are generated from config.RUN_PARAMS and override the
 config file's keys of the same name; argparse leaves their values as text, so
-a bad value from a flag or from the file fails alike with exit code 1. Exit
-codes: 0 ok, 1 validation failure, 2 io error, 3 internal invariant violation.
+a bad value from a flag or from the file fails alike with exit code 1, as
+does a usage error. Exit codes: 0 ok, 1 validation failure, 2 io error,
+3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -216,8 +217,16 @@ def cmd_inspect(args) -> int:
     raise ValidationError(f"don't know how to inspect {path!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation failure: exit code 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pan4d",
         description="4D panoptic LiDAR segmentation pipeline and evaluation suite",
     )
@@ -263,9 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -61,18 +61,26 @@ def coerce(key, value, type_name: str):
     raise ValidationError(f"{key}: expected {type_name}, got {value!r}")
 
 
+def _class_ids(key, values, kind=(list, tuple)):
+    """Each class id of values (a list; for names, a mapping's keys) through
+    coerce(); a scalar where a list belongs fails too."""
+    if not isinstance(values, kind):
+        raise ValidationError(f"{key}: expected class ids, got {values!r}")
+    return [coerce(key, c, "int") for c in values]
+
+
 def eval_config_from_dict(data: dict) -> EvalConfig:
     try:
-        kwargs = {
-            "classes": tuple(int(c) for c in data["classes"]),
-            "things": frozenset(int(c) for c in data["things"]),
-        }
+        kwargs = {"classes": tuple(_class_ids("classes", data["classes"])),
+                  "things": frozenset(_class_ids("things", data["things"]))}
     except KeyError as exc:
         raise ValidationError(f"config is missing required key {exc}") from exc
     if "ignore" in data:
-        kwargs["ignore"] = frozenset(int(c) for c in data["ignore"])
+        kwargs["ignore"] = frozenset(_class_ids("ignore", data["ignore"]))
     if data.get("names"):
-        kwargs["class_names"] = {int(k): str(v) for k, v in data["names"].items()}
+        names = data["names"]
+        kwargs["class_names"] = dict(zip(_class_ids("names", names, dict),
+                                         map(str, names.values())))
     for f in fields(EvalConfig):
         if f.name in ("pq_match_threshold", "per_sequence") and f.name in data:
             kwargs[f.name] = coerce(f.name, data[f.name], f.type)

@@ -15,7 +15,6 @@ downstream module works in a single world frame.
 from __future__ import annotations
 
 import os
-import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,27 +90,13 @@ class Pose:
             raise ValidationError("pose bottom row must be [0, 0, 0, 1]")
 
     @classmethod
-    def from_matrix34(cls, m34: np.ndarray, frame: str = "world") -> "Pose":
-        m = np.eye(4)
-        m[:3, :] = np.asarray(m34, dtype=np.float64).reshape(3, 4)
-        return cls(matrix=m, frame=frame)
-
-    @classmethod
     def identity(cls, frame: str = "world") -> "Pose":
         return cls(matrix=np.eye(4), frame=frame)
-
-    @property
-    def matrix34(self) -> np.ndarray:
-        return self.matrix[:3, :]
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the pose to an (N, 3) array of points."""
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
-
-    def compose(self, other: "Pose") -> "Pose":
-        """Return the pose equivalent to applying `other` first, then self."""
-        return Pose(matrix=self.matrix @ other.matrix, frame=self.frame)
 
     def inverse(self) -> "Pose":
         r = self.matrix[:3, :3]
@@ -188,9 +173,6 @@ def write_labels(labels: PanopticLabels, path):
             raise ValidationError(f"{name} value outside 16-bit range")
     words = ((inst.astype(np.uint32) << 16) | sem.astype(np.uint32)).astype("<u4")
     words.tofile(path)
-
-
-_FLOAT_RE = re.compile(r"[-+0-9.eE]+")
 
 
 def _parse_line_12(line, what):

@@ -264,9 +264,7 @@ def split_tube(labels, tube_id: int, at_scan: int, new_id=None):
     return out
 
 
-def id_switch(labels, tube_id: int, at_scan: int, new_id=None):
-    """Switch the tube to a new identity mid-sequence (one IDS event)."""
-    return split_tube(labels, tube_id, at_scan, new_id=new_id)
+id_switch = split_tube  # switching a tube to a new identity mid-sequence is one split
 
 
 def merge_tubes(labels, keep_id: int, absorb_id: int):
@@ -357,12 +355,9 @@ def class_map_for(spec: SceneSpec) -> dict:
 def corrupt(labels, corruption: dict):
     """Apply one named corruption, e.g. {"kind": "split_tube", "tube": 1, "scan": 5}."""
     kind = corruption.get("kind")
-    if kind == "split_tube":
+    if kind in ("split_tube", "id_switch"):
         return split_tube(labels, corruption["tube"], corruption["scan"],
                           corruption.get("new_id"))
-    if kind == "id_switch":
-        return id_switch(labels, corruption["tube"], corruption["scan"],
-                         corruption.get("new_id"))
     if kind == "merge_tubes":
         return merge_tubes(labels, corruption["keep"], corruption["absorb"])
     if kind == "flip_class":

@@ -5,6 +5,13 @@ point-set IoU computed over the points present in BOTH windows (keyed by
 (scan_index, point_index) and accumulated jointly over all common scans), so
 sub-sampled past scans still associate. Matched instances inherit the previous
 global id; everything else receives a fresh id from the ledger.
+
+Each window keeps one label table: a row per volume point with its world
+coordinates, (scan, point) origin, class and instance. Each scan is emitted
+once, by the first window that contains it. Its points outside the table copy
+their nearest row, with distance ties going to the lowest (scan, point). The
+scans that the stride strategy skips are filled the same way and appended to
+the table, so the window covers them for association.
 """
 
 from __future__ import annotations
@@ -112,10 +119,20 @@ class PipelineResult:
     stats: dict
 
 
-def _fields_for_volume(volume: Volume4D, per_scan_fields, per_scan_semantic):
+def _load_scan(seq, s, fields_fn, semantics_fn):
+    """(aligned coords, (emb, var, obj), predicted classes) of scan s."""
+    scan = seq.scan(s)
+    emb, var, obj = fields_fn(s)
+    sem = np.asarray(semantics_fn(s), dtype=np.int64)
+    if not (len(scan) == emb.shape[0] == obj.shape[0] == sem.shape[0]):
+        raise ValidationError(f"scan {s}: fields/semantics length mismatch")
+    return align_scan(scan, seq.pose(s)), (emb, var, obj), sem
+
+
+def _fields_for_volume(volume: Volume4D, cache):
     """Gather per-point embeddings/variances/objectness/semantics for a volume."""
     m = len(volume)
-    d = next(iter(per_scan_fields.values()))[0].shape[1]
+    d = cache[volume.window[1]][1][0].shape[1]
     emb = np.empty((m, d))
     var = np.empty((m, d))
     obj = np.empty(m)
@@ -124,11 +141,11 @@ def _fields_for_volume(volume: Volume4D, per_scan_fields, per_scan_semantic):
     for s in np.unique(scans):
         sel = scans == s
         idx = volume.origin[sel, 1]
-        e, v, o = per_scan_fields[int(s)]
+        _, (e, v, o), sem_s = cache[int(s)]
         emb[sel] = e[idx]
         var[sel] = v[idx]
         obj[sel] = o[idx]
-        sem[sel] = per_scan_semantic[int(s)][idx]
+        sem[sel] = sem_s[idx]
     return emb, var, obj, sem
 
 
@@ -173,9 +190,8 @@ def run_online_pipeline(
 
     ledger = TrackLedger()
     prev_result = None
-    past_states = {}  # scan index -> PastScanState
-    scan_cache = {}  # scan index -> (aligned coords, (emb, var, obj), semantic)
-    out_labels = [None] * n_scans
+    cache = {}  # scan index -> _load_scan(...), for the scans of the current window
+    out_labels = [None] * n_scans  # None until the scan is emitted
     peak_points = 0
     t_start = time.perf_counter()
 
@@ -183,114 +199,62 @@ def run_online_pipeline(
     if window_ts and window_ts[-1] != n_scans - 1:
         window_ts.append(n_scans - 1)
 
-    emitted_to = -1
     for t in window_ts:
-        window_start = max(0, t - tau + 1)
-        for s in range(window_start, t + 1):
-            if s in scan_cache:
-                continue
-            scan = seq.scan(s)
-            aligned = align_scan(scan, seq.pose(s))
-            emb, var, obj = fields_fn(s)
-            sem_pred = np.asarray(semantics_fn(s), dtype=np.int64)
-            if not (len(scan) == emb.shape[0] == obj.shape[0] == sem_pred.shape[0]):
-                raise ValidationError(f"scan {s}: fields/semantics length mismatch")
-            scan_cache[s] = (aligned, (emb, var, obj), sem_pred)
+        window = range(max(0, t - tau + 1), t + 1)
+        cache = {s: cache[s] for s in window if s in cache}
+        for s in window:
+            if s not in cache:
+                cache[s] = _load_scan(seq, s, fields_fn, semantics_fn)
 
-        states = [past_states[s] for s in range(window_start, t) if s in past_states]
+        # past states (scan, coords, objectness, classes) of the emitted scans
+        states = [PastScanState(s, cache[s][0], cache[s][1][2], out_labels[s].semantic)
+                  for s in window[:-1] if out_labels[s] is not None]
         rng = np.random.default_rng([seed, t])
-        volume = build_volume(
-            scan_cache[t][0], t, states, volume_config, rng, thing_classes
-        )
+        volume = build_volume(cache[t][0], t, states, volume_config, rng, thing_classes)
         peak_points = max(peak_points, len(volume))
 
-        per_scan_fields = {s: scan_cache[s][1] for s in range(window_start, t + 1)}
-        per_scan_sem = {s: scan_cache[s][2] for s in range(window_start, t + 1)}
-        v_emb, v_var, v_obj, v_sem = _fields_for_volume(volume, per_scan_fields, per_scan_sem)
-
+        v_emb, v_var, v_obj, sem = _fields_for_volume(volume, cache)
         feats, variances = build_point_features(
             volume.coords, ClusterFields(v_emb, v_var, v_obj), cluster_params
         )
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
-        assignment = majority_vote_classes(assignment, v_sem, stuff_classes)
-
-        # per-point output class: members take their instance's majority class
-        out_sem = v_sem.copy()
+        assignment = majority_vote_classes(assignment, sem, stuff_classes)
         for cls, mem in zip(assignment.classes, assignment.members):
-            out_sem[mem] = cls
+            sem[mem] = cls  # members take their instance's majority class
 
-        entries_scan = volume.origin[:, 0].copy()
-        entries_point = volume.origin[:, 1].copy()
-        entries_inst = assignment.instance_ids.copy()
-        entries_sem = out_sem.copy()
-        entries_coords = volume.coords[:, :3].copy()
-
+        # the label table: one row per volume point, then every point of the
+        # skipped stride scans, filled by its nearest volume row
+        table = (volume.coords[:, :3], volume.origin, sem, assignment.instance_ids)
         if volume.skipped_scans:
-            # fill skipped stride scans by nearest included neighbor so the
-            # window covers them for association
-            fill = [
-                (entries_scan, entries_point, entries_inst, entries_sem, entries_coords)
-            ]
-            for s in volume.skipped_scans:
-                coords_s = scan_cache[s][0]
-                bf_sem, bf_inst = backfill_skipped(
-                    volume.coords[:, :3], volume.origin, out_sem,
-                    assignment.instance_ids, coords_s,
-                )
-                fill.append((
-                    np.full(coords_s.shape[0], s, dtype=np.int64),
-                    np.arange(coords_s.shape[0], dtype=np.int64),
-                    bf_inst.astype(np.int64),
-                    bf_sem.astype(np.int64),
-                    coords_s,
-                ))
-            entries_scan, entries_point, entries_inst, entries_sem, entries_coords = (
-                np.concatenate([part[k] for part in fill]) for k in range(5)
-            )
-
+            fill = np.concatenate([cache[s][0] for s in volume.skipped_scans])
+            sizes = [cache[s][0].shape[0] for s in volume.skipped_scans]
+            fill_origin = np.column_stack([np.repeat(volume.skipped_scans, sizes),
+                                           np.concatenate([np.arange(n) for n in sizes])])
+            fill_table = (fill, fill_origin, *backfill_skipped(*table, fill))
+            table = tuple(np.concatenate(pair) for pair in zip(table, fill_table))
+        _, origin, sem, inst = table
         cur_result = WindowResult(
-            window_id=t,
-            scan_idx=entries_scan,
-            point_idx=entries_point,
-            instance=entries_inst,
-            semantic=entries_sem,
-            scans=frozenset(range(window_start, t + 1)),
+            window_id=t, scan_idx=origin[:, 0], point_idx=origin[:, 1],
+            instance=inst, semantic=sem, scans=frozenset(window),
         )
 
-        if prev_result is not None and (prev_result.scans & cur_result.scans):
-            mapping = associate_windows(prev_result, cur_result, ledger, assoc_iou)
-        else:
-            mapping = {int(i): ledger.fresh() for i in np.unique(entries_inst) if i != 0}
-
-        global_inst = np.zeros_like(entries_inst)
+        try:
+            if prev_result is not None and (prev_result.scans & cur_result.scans):
+                mapping = associate_windows(prev_result, cur_result, ledger, assoc_iou)
+            else:
+                mapping = {i: ledger.fresh() for i in range(1, assignment.n_instances + 1)}
+        except ValidationError as exc:
+            raise ValidationError(f"window ending at scan {t}: {exc}") from exc
+        to_global = np.zeros(assignment.n_instances + 1, dtype=np.int64)
         for local, gid in mapping.items():
-            global_inst[entries_inst == local] = gid
-        cur_result.instance[:] = global_inst
+            to_global[local] = gid
+        cur_result.instance = to_global[inst]
+        table = (*table[:3], cur_result.instance)
 
-        entry_origin = np.column_stack([entries_scan, entries_point])
-        for s in range(max(emitted_to + 1, window_start), t + 1):
-            sem_s, inst_s = _emit_scan(
-                s, scan_cache[s][0], entries_scan, entries_point, entries_sem,
-                global_inst, entries_coords, entry_origin,
-            )
-            out_labels[s] = PanopticLabels(semantic=sem_s, instance=inst_s)
-            past_states[s] = PastScanState(
-                scan_index=s,
-                coords=scan_cache[s][0],
-                objectness=scan_cache[s][1][2].astype(np.float64),
-                semantic=sem_s,
-                instance=inst_s,
-            )
-        emitted_to = t
-
+        for s in window:
+            if out_labels[s] is None:
+                out_labels[s] = _emit_scan(s, cache[s][0], table)
         prev_result = cur_result
-        next_start = min(t + window_stride, n_scans - 1) - tau + 1
-        for s in list(past_states):
-            if s < next_start:
-                del past_states[s]
-        for s in list(scan_cache):
-            if s < next_start:
-                del scan_cache[s]
 
     return PipelineResult(
         labels=out_labels,
@@ -303,22 +267,16 @@ def run_online_pipeline(
     )
 
 
-def _emit_scan(s, coords_s, entries_scan, entries_point, entries_sem, entries_inst,
-               entries_coords, entry_origin):
-    """Final labels for scan s from a window's entries; uncovered points copy
-    their nearest covered neighbor."""
-    n = coords_s.shape[0]
-    sem = np.full(n, -1, dtype=np.int64)
-    inst = np.zeros(n, dtype=np.int64)
-    mask = entries_scan == s
-    sem[entries_point[mask]] = entries_sem[mask]
-    inst[entries_point[mask]] = entries_inst[mask]
+def _emit_scan(s, coords_s, table):
+    """Final labels for scan s from a window's label table (coords, origin,
+    semantic, instance); points without a row copy their nearest row."""
+    _, origin, sem_rows, inst_rows = table
+    sem = np.full(coords_s.shape[0], -1, dtype=np.int64)
+    inst = np.zeros(coords_s.shape[0], dtype=np.int64)
+    rows = origin[:, 0] == s
+    sem[origin[rows, 1]] = sem_rows[rows]
+    inst[origin[rows, 1]] = inst_rows[rows]
     missing = np.flatnonzero(sem < 0)
     if missing.size:
-        bf_sem, bf_inst = backfill_skipped(
-            entries_coords, entry_origin, entries_sem, entries_inst, coords_s[missing]
-        )
-        sem[missing] = bf_sem
-        inst[missing] = bf_inst
-    return sem, inst
-
+        sem[missing], inst[missing] = backfill_skipped(*table, coords_s[missing])
+    return PanopticLabels(semantic=sem, instance=inst)

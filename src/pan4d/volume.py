@@ -41,6 +41,8 @@ class VolumeConfig:
             raise ValidationError("fraction must lie in (0, 1]")
         if self.stride < 2:
             raise ValidationError("stride must be >= 2")
+        if self.max_points is not None and self.max_points < 0:
+            raise ValidationError("max_points must be >= 0 (None = unlimited)")
         if self.strategy == "base" and self.tau != 1:
             raise ValidationError("strategy 'base' requires tau = 1")
         if self.strategy != "base" and self.tau < 2:
@@ -56,11 +58,10 @@ class PastScanState:
     coords: np.ndarray  # (N, 3) world frame
     objectness: np.ndarray  # (N,) in [0, 1]
     semantic: np.ndarray  # (N,) predicted class ids
-    instance: np.ndarray  # (N,) predicted global instance ids
 
     def __post_init__(self):
         n = self.coords.shape[0]
-        for name in ("objectness", "semantic", "instance"):
+        for name in ("objectness", "semantic"):
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValidationError(f"{name} length {arr.shape[0]} != {n} points")

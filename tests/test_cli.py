@@ -206,6 +206,22 @@ class TestExitCodes:
     def test_missing_required_evaluate_args(self):
         assert main(["evaluate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--bogus"],
+        ["run", "--tau"],
+        ["evaluate", "--combine", "1"],
+        [],
+    ])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--window-stride" in capsys.readouterr().out
+
 
 CLASS_MAP = {"classes": [CAR, PERSON, 40], "things": [CAR, PERSON], "ignore": [0]}
 
@@ -320,6 +336,34 @@ class TestRunParameters:
         assert code == 1
         assert cfg is None
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_map, key", [
+        ({"classes": ["car"]}, "classes"),
+        ({"classes": 10}, "classes"),
+        ({"things": [CAR, "person"]}, "things"),
+        ({"ignore": [0.5]}, "ignore"),
+        ({"names": {"car": "car"}}, "names"),
+        ({"names": ["car"]}, "names"),
+    ])
+    def test_bad_class_map_exits_one(self, run_config, tmp_path, capsys, class_map, key):
+        code, cfg = run_config(class_map)
+        assert (code, cfg) == (1, None)
+        assert key in capsys.readouterr().err
+        path = tmp_path / "classes.yaml"
+        path.write_text(yaml.safe_dump({**CLASS_MAP, **class_map}))
+        code = main(["evaluate", "--gt", str(tmp_path), "--pred", str(tmp_path),
+                     "--config", str(path), "--report", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_data, flags", [
+        ({}, ["--strategy", "thing", "--max-points", "-5"]),
+        ({"strategy": "thing", "max_points": -1}, []),
+    ])
+    def test_negative_max_points_exits_one(self, run_config, capsys, file_data, flags):
+        code, cfg = run_config(file_data, *flags)
+        assert (code, cfg) == (1, None)
+        assert "max_points" in capsys.readouterr().err
 
     def test_window_stride_beyond_tau_exits_one(self, dataset, tmp_path, capsys):
         root, data_dir = dataset

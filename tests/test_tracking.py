@@ -3,13 +3,14 @@ import logging
 import numpy as np
 import pytest
 
+from pan4d import tracking
 from pan4d.clustering import ClusterParams
 from pan4d.errors import ValidationError
 from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
 from pan4d.tracking import TrackLedger, WindowResult, associate_windows, run_online_pipeline
 from pan4d.volume import VolumeConfig
 
-from conftest import CAR, PERSON, MemorySequence, oracle_providers
+from conftest import CAR, PERSON, ROAD, MemorySequence, oracle_providers
 
 
 def window(window_id, entries, scans):
@@ -251,6 +252,51 @@ class TestOnlinePipeline:
         for labels, gt in zip(result.labels, data.labels):
             assert len(labels) == len(gt)
             assert set(labels.instance.tolist()) == {1}
+
+    def test_stride_strategy_with_window_stride_two(self):
+        # windows emit two scans each and fill the volume's skipped scans
+        spec = SceneSpec(
+            n_scans=20,
+            objects=(
+                ObjectSpec(class_id=CAR, n_points=60, sigma=0.25,
+                           start=(8.0, 4.0, 5.0), velocity=(-0.7, 0.0, 0.0)),
+                ObjectSpec(class_id=PERSON, n_points=60, sigma=0.25,
+                           start=(-8.0, -4.0, 5.0), velocity=(0.7, 0.0, 0.0)),
+            ),
+            background_points=200,
+            seed=6,
+        )
+        data = generate_sequence(spec)
+        fields_fn, semantics_fn = oracle_providers(data)
+        result = run_online_pipeline(
+            MemorySequence(data), fields_fn, semantics_fn,
+            VolumeConfig(strategy="stride", tau=4),
+            oracle_params(), thing_classes={CAR, PERSON}, stuff_classes={ROAD}, seed=1,
+            window_stride=2,
+        )
+        assert result.n_instances == 2
+        assert len(result.labels) == 20
+        owners = {1: set(), 2: set()}
+        for labels, gt in zip(result.labels, data.labels):
+            assert len(labels) == len(gt)
+            assert (labels.semantic >= 0).all()
+            assert (labels.instance[gt.instance == 0] == 0).all()
+            for inst_gt in owners:
+                owners[inst_gt] |= set(labels.instance[gt.instance == inst_gt].tolist())
+        assert len(owners[1]) == len(owners[2]) == 1
+        assert owners[1] != owners[2]
+        assert 0 not in owners[1] | owners[2]
+
+    def test_id_overflow_names_the_window(self, monkeypatch):
+        monkeypatch.setattr(tracking, "TrackLedger", lambda: TrackLedger(next_id=0xFFFF))
+        data = generate_sequence(single_object_scene(n_scans=4))
+        fields_fn, semantics_fn = oracle_providers(data)
+        with pytest.raises(ValidationError, match=r"window ending at scan 1: .*16-bit"):
+            run_online_pipeline(
+                MemorySequence(data), fields_fn, semantics_fn,
+                VolumeConfig(strategy="base", tau=1),
+                oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+            )
 
     def test_window_stride_beyond_tau_rejected(self):
         data = generate_sequence(single_object_scene(n_scans=4))

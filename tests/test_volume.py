@@ -21,7 +21,7 @@ from conftest import random_rigid
 CAR, ROAD = 10, 40
 
 
-def make_state(scan_index, coords, objectness=None, semantic=None, instance=None):
+def make_state(scan_index, coords, objectness=None, semantic=None):
     n = coords.shape[0]
     return PastScanState(
         scan_index=scan_index,
@@ -31,9 +31,6 @@ def make_state(scan_index, coords, objectness=None, semantic=None, instance=None
         ),
         semantic=np.asarray(
             semantic if semantic is not None else np.full(n, ROAD), dtype=np.int64
-        ),
-        instance=np.asarray(
-            instance if instance is not None else np.zeros(n), dtype=np.int64
         ),
     )
 
