@@ -121,6 +121,9 @@ def _pred_dir_for(pred_root, seq):
 
 def cmd_evaluate(args) -> int:
     if args.combine is not None:
+        for name, score in zip(("S_ASSOC", "S_CLS"), args.combine):
+            if not 0.0 <= score <= 1.0:  # also false for nan
+                raise ValidationError(f"--combine {name} must be a score in [0, 1], got {score}")
         a, b = args.combine
         print(f"{lstq(a, b):.4f}")
         return 0

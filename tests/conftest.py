@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pan4d.metrics import EvalConfig
+
+# derandomized: the same examples on every run, and no per-example deadline,
+# whose timing would make slow shared machines fail at random
+settings.register_profile("pan4d", derandomize=True, deadline=None)
+settings.load_profile("pan4d")
 
 CAR, PERSON, ROAD = 10, 30, 40
 

@@ -130,6 +130,17 @@ class TestCombine:
         assert main(["evaluate", "--combine", "0.5879", "0.6095"]) == 0
         assert capsys.readouterr().out.strip() == "0.5986"
 
+    @pytest.mark.parametrize("a, b, shown", [
+        ("2", "0.5", "2.0"),
+        ("nan", "0.5", "nan"),
+        ("-1", "0.5", "-1.0"),
+    ])
+    def test_score_outside_unit_interval_exits_one(self, a, b, shown, capsys):
+        assert main(["evaluate", "--combine", a, b]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert shown in captured.err
+
 
 class TestCheckGradients:
     def test_all_losses_pass(self, capsys):

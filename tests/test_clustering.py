@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pan4d.clustering import (
     ClusterFields,
@@ -11,6 +13,7 @@ from pan4d.clustering import (
     gaussian_affinity,
     majority_vote_classes,
     read_cluster_fields,
+    reference_cluster_volume,
     write_cluster_fields,
 )
 from pan4d.errors import FormatError, ValidationError
@@ -257,6 +260,88 @@ class TestClusterVolume:
             ClusterParams(min_points=0).validate()
         with pytest.raises(ValidationError):
             ClusterParams(feature_mode="nope").validate()
+
+
+@st.composite
+def volumes(draw):
+    """(features, variances, objectness, params) with tied distances and objectness."""
+    m = draw(st.integers(0, 60))
+    d = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.3, 1.0, 4.0]))
+    feats = np.round(rng.normal(scale=spread, size=(m, d)), draw(st.integers(0, 2)))
+    var_scale = draw(st.sampled_from([0.01, 0.3, 1.0, 10.0]))
+    if draw(st.booleans()):
+        variances = np.full((m, d), var_scale)
+    else:
+        variances = var_scale * rng.uniform(0.2, 5.0, size=(m, d))
+    obj = np.round(rng.uniform(size=m), draw(st.integers(1, 3)))
+    params = ClusterParams(
+        assign_prob=draw(st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            st.sampled_from([1e-12, 0.5, 1 - 1e-6, 1 - 1e-12]),
+        )),
+        seed_stop=draw(st.floats(0.0, 1.0)),
+        min_points=draw(st.integers(1, 5)),
+        normalized_pdf=draw(st.booleans()),
+    )
+    return feats, variances, obj, params
+
+
+class TestMatchesReference:
+    @settings(max_examples=400)
+    @given(volumes())
+    @example((np.zeros((0, 3)), np.ones((0, 3)), np.zeros(0), ClusterParams()))
+    @example((np.zeros((1, 2)), np.ones((1, 2)), np.ones(1), ClusterParams(min_points=1)))
+    @example((np.zeros((4, 1)), np.ones((4, 1)), np.full(4, 0.5),
+              ClusterParams(min_points=1, assign_prob=1 - 1e-12)))
+    def test_same_seeds_members_and_ids(self, volume):
+        feats, variances, obj, params = volume
+        fast = cluster_volume(feats, variances, obj, params)
+        slow = reference_cluster_volume(feats, variances, obj, params)
+        assert fast.seeds == slow.seeds
+        assert len(fast.members) == len(slow.members)
+        for a, b in zip(fast.members, slow.members):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_underflowing_density_constant(self):
+        # normalized_pdf with prod(var) below the float range: the density
+        # constant is 0, so every point whose exp(-maha/2) is nonzero passes
+        feats = np.array([[0.0] * 40, [1e-4] * 40, [3.0] * 40])
+        variances = np.full_like(feats, 1e-9)
+        obj = np.array([0.9, 0.2, 0.3])
+        params = ClusterParams(min_points=1, normalized_pdf=True)
+        fast = cluster_volume(feats, variances, obj, params)
+        slow = reference_cluster_volume(feats, variances, obj, params)
+        np.testing.assert_array_equal(fast.instance_ids, [1, 1, 2])
+        np.testing.assert_array_equal(slow.instance_ids, [1, 1, 2])
+        assert fast.seeds == slow.seeds == [0, 2]
+
+
+class TestClusterInputValues:
+    @pytest.mark.parametrize("array, value, match", [
+        ("feats", np.nan, "feature"),
+        ("feats", np.inf, "feature"),
+        ("var", np.nan, "variances"),
+        ("var", np.inf, "variances"),
+        ("var", 0.0, "variances"),
+        ("var", -1.0, "variances"),
+        ("obj", np.nan, "objectness"),
+    ])
+    @pytest.mark.parametrize("fn", [cluster_volume, reference_cluster_volume])
+    def test_non_finite_inputs_rejected(self, fn, array, value, match):
+        # a bad feature or variance sits on point 2, which never seeds (objectness 0)
+        arrays = {"feats": np.zeros((3, 2)), "var": np.ones((3, 2)),
+                  "obj": np.array([0.9, 0.5, 0.0])}
+        arrays[array][2 if array != "obj" else 1] = value
+        with pytest.raises(ValidationError, match=match):
+            fn(arrays["feats"], arrays["var"], arrays["obj"], ClusterParams(min_points=1))
+
+    def test_zero_feature_dimensions_rejected(self):
+        with pytest.raises(ValidationError, match="D >= 1"):
+            cluster_volume(np.zeros((3, 0)), np.zeros((3, 0)), np.ones(3), ClusterParams())
 
 
 class TestMajorityVote:
