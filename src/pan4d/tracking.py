@@ -7,11 +7,14 @@ sub-sampled past scans still associate. Matched instances inherit the previous
 global id; everything else receives a fresh id from the ledger.
 
 Each window keeps one label table: a row per volume point with its world
-coordinates, (scan, point) origin, class and instance. Each scan is emitted
-once, by the first window that contains it. Its points outside the table copy
-their nearest row, with distance ties going to the lowest (scan, point). The
-scans that the stride strategy skips are filled the same way and appended to
-the table, so the window covers them for association.
+coordinates, (scan, point) origin, class and instance, sorted by (scan, point)
+as `build_volume` emits them. The scans that the stride strategy skips are
+filled by nearest row and merged in (not appended): each one's rows are
+inserted before the first row of a later scan, so the window covers them for
+association and the order holds. Each scan is emitted once, by the first
+window that contains it: its rows are one slice of the table, and its other
+points copy their nearest row, with distance ties going to the lowest (scan,
+point).
 """
 
 from __future__ import annotations
@@ -36,18 +39,11 @@ from .volume import PastScanState, Volume4D, VolumeConfig, align_scan, backfill_
 
 log = logging.getLogger(__name__)
 
-_KEY_SHIFT = np.int64(32)
-
-
-def _pack_keys(scan_idx, point_idx):
-    return (np.asarray(scan_idx, dtype=np.int64) << _KEY_SHIFT) | np.asarray(
-        point_idx, dtype=np.int64
-    )
-
 
 @dataclass
 class WindowResult:
-    """Per-point labels produced by one window, keyed by (scan, point)."""
+    """Per-point labels produced by one window, one row per (scan, point) in
+    strictly increasing (scan, point) order."""
 
     window_id: int
     scan_idx: np.ndarray  # (M,) int64
@@ -57,12 +53,14 @@ class WindowResult:
     scans: frozenset  # scan indices covered
 
     def __post_init__(self):
-        keys = _pack_keys(self.scan_idx, self.point_idx)
-        if np.unique(keys).size != keys.size:
-            raise ValidationError("duplicate (scan, point) entry in window result")
+        keys = self.keys()
+        if not (keys[1:] > keys[:-1]).all():
+            raise ValidationError("window result rows repeat or leave (scan, point) order")
 
     def keys(self):
-        return _pack_keys(self.scan_idx, self.point_idx)
+        """(scan << 32) | point per row."""
+        return (np.asarray(self.scan_idx, dtype=np.int64) << 32) | np.asarray(
+            self.point_idx, dtype=np.int64)
 
 
 @dataclass
@@ -126,27 +124,30 @@ def _load_scan(seq, s, fields_fn, semantics_fn):
     sem = np.asarray(semantics_fn(s), dtype=np.int64)
     if not (len(scan) == emb.shape[0] == obj.shape[0] == sem.shape[0]):
         raise ValidationError(f"scan {s}: fields/semantics length mismatch")
+    if var.shape != emb.shape:
+        raise ValidationError(
+            f"scan {s}: variances shape {var.shape} != embeddings shape {emb.shape}")
+    if sem.size and (sem.min() < 0 or sem.max() > LABEL_FIELD_MAX):
+        raise ValidationError(f"scan {s}: predicted class ids must lie in [0, {LABEL_FIELD_MAX}]")
     return align_scan(scan, seq.pose(s)), (emb, var, obj), sem
+
+
+def _scan_rows(origin, s):
+    """The rows of scan s, as a slice of a table sorted by (scan, point)."""
+    return slice(*np.searchsorted(origin[:, 0], [s, s + 1]))
 
 
 def _fields_for_volume(volume: Volume4D, cache):
     """Gather per-point embeddings/variances/objectness/semantics for a volume."""
     m = len(volume)
     d = cache[volume.window[1]][1][0].shape[1]
-    emb = np.empty((m, d))
-    var = np.empty((m, d))
-    obj = np.empty(m)
-    sem = np.empty(m, dtype=np.int64)
-    scans = volume.origin[:, 0]
-    for s in np.unique(scans):
-        sel = scans == s
-        idx = volume.origin[sel, 1]
-        _, (e, v, o), sem_s = cache[int(s)]
-        emb[sel] = e[idx]
-        var[sel] = v[idx]
-        obj[sel] = o[idx]
-        sem[sel] = sem_s[idx]
-    return emb, var, obj, sem
+    out = (np.empty((m, d)), np.empty((m, d)), np.empty(m), np.empty(m, dtype=np.int64))
+    for s in range(volume.window[0], volume.window[1] + 1):
+        rows = _scan_rows(volume.origin, s)
+        _, fields, sem_s = cache[s]
+        for dst, src in zip(out, (*fields, sem_s)):
+            dst[rows] = src[volume.origin[rows, 1]]
+    return out
 
 
 def run_online_pipeline(
@@ -222,8 +223,9 @@ def run_online_pipeline(
         for cls, mem in zip(assignment.classes, assignment.members):
             sem[mem] = cls  # members take their instance's majority class
 
-        # the label table: one row per volume point, then every point of the
-        # skipped stride scans, filled by its nearest volume row
+        # the label table: one row per volume point and per point of the
+        # skipped stride scans (filled by its nearest volume row); each
+        # skipped scan's rows go in before the first row of a later scan
         table = (volume.coords[:, :3], volume.origin, sem, assignment.instance_ids)
         if volume.skipped_scans:
             fill = np.concatenate([cache[s][0] for s in volume.skipped_scans])
@@ -231,7 +233,8 @@ def run_online_pipeline(
             fill_origin = np.column_stack([np.repeat(volume.skipped_scans, sizes),
                                            np.concatenate([np.arange(n) for n in sizes])])
             fill_table = (fill, fill_origin, *backfill_skipped(*table, fill))
-            table = tuple(np.concatenate(pair) for pair in zip(table, fill_table))
+            at = np.searchsorted(volume.origin[:, 0], fill_origin[:, 0])
+            table = tuple(np.insert(col, at, new, axis=0) for col, new in zip(table, fill_table))
         _, origin, sem, inst = table
         cur_result = WindowResult(
             window_id=t, scan_idx=origin[:, 0], point_idx=origin[:, 1],
@@ -273,7 +276,7 @@ def _emit_scan(s, coords_s, table):
     _, origin, sem_rows, inst_rows = table
     sem = np.full(coords_s.shape[0], -1, dtype=np.int64)
     inst = np.zeros(coords_s.shape[0], dtype=np.int64)
-    rows = origin[:, 0] == s
+    rows = _scan_rows(origin, s)
     sem[origin[rows, 1]] = sem_rows[rows]
     inst[origin[rows, 1]] = inst_rows[rows]
     missing = np.flatnonzero(sem < 0)

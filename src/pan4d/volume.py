@@ -8,12 +8,13 @@ Each volume point carries (x, y, z, t) with t = window slot * time_scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .kitti_io import Pose, Scan
 
 STRATEGIES = ("base", "thing", "importance", "decay", "stride")
@@ -75,7 +76,12 @@ class PastScanState:
 
 @dataclass
 class Volume4D:
-    """Ego-motion-aligned multi-scan point set with provenance."""
+    """Ego-motion-aligned multi-scan point set with provenance.
+
+    Rows are sorted by (scan, point): past scans oldest first, then the
+    current scan, each scan's rows by point index. The pipeline's label table
+    keeps this order when it inserts the fill rows of skipped scans.
+    """
 
     coords: np.ndarray  # (M, 4): x, y, z world meters; t = slot * time_scale
     origin: np.ndarray  # (M, 2) int64: (scan_index, point_index)
@@ -212,7 +218,10 @@ def backfill_skipped(
     """Copy (class, instance) from each query point's nearest included point.
 
     Nearest neighbor is exact (KD-tree over world xyz); distance ties are
-    broken by the lowest (scan_index, point_index) origin pair.
+    broken by the lowest (scan_index, point_index) origin pair. The rows in
+    each query's ball (within its nearest distance, padded) are scored in one
+    flat array, and one lexsort over (query, d², scan, point) puts each
+    query's winner first in its group.
 
     Returns (semantic, instance) arrays aligned with query_coords.
     """
@@ -221,18 +230,17 @@ def backfill_skipped(
     tree = cKDTree(included_coords)
     dists, _ = tree.query(query_coords, k=1)
     balls = tree.query_ball_point(query_coords, r=dists * (1.0 + 1e-9))
-
-    sem = np.empty(query_coords.shape[0], dtype=included_semantic.dtype)
-    inst = np.empty(query_coords.shape[0], dtype=included_instance.dtype)
-    for q, cand in enumerate(balls):
-        cand = np.asarray(cand, dtype=np.int64)
-        diff = included_coords[cand] - query_coords[q]
-        d2 = np.einsum("ij,ij->i", diff, diff)
-        tied = cand[d2 == d2.min()]
-        best = tied[np.lexsort((included_origin[tied, 1], included_origin[tied, 0]))[0]]
-        sem[q] = included_semantic[best]
-        inst[q] = included_instance[best]
-    return sem, inst
+    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+    if (sizes == 0).any():
+        raise InvariantError("a backfill query found no row within its nearest distance")
+    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=sizes.sum())
+    del balls  # one Python list per query: free it before the flat arrays below
+    query = np.repeat(np.arange(sizes.size), sizes)
+    diff = included_coords[cand] - query_coords[query]
+    d2 = np.einsum("ij,ij->i", diff, diff)
+    order = np.lexsort((included_origin[cand, 1], included_origin[cand, 0], d2, query))
+    best = cand[order[np.cumsum(sizes) - sizes]]
+    return included_semantic[best], included_instance[best]
 
 
 def _per_scan_thing_budget(config: VolumeConfig, n_current: int, n_past: int):
@@ -269,53 +277,33 @@ def build_volume(
         if state.scan_index != expect_first + pos:
             raise ValidationError("past states must be consecutive scans")
 
-    selections = {pos: np.empty(0, dtype=np.int64) for pos in range(n_past)}
-    skipped = []
+    selections, skipped = {}, []  # past position -> sorted point indices
     if n_past > 0:
         if config.strategy == "thing":
             budget = _per_scan_thing_budget(config, current_coords.shape[0], n_past)
-            for pos, state in enumerate(past_states):
-                selections[pos] = sample_thing_prop(state, thing_classes, budget=budget, rng=rng)
+            selections = {pos: sample_thing_prop(state, thing_classes, budget=budget, rng=rng)
+                          for pos, state in enumerate(past_states)}
         elif config.strategy == "importance":
-            for pos, state in enumerate(past_states):
-                selections[pos] = sample_importance(state, fraction=config.fraction, rng=rng)
+            selections = {pos: sample_importance(state, fraction=config.fraction, rng=rng)
+                          for pos, state in enumerate(past_states)}
         elif config.strategy == "decay":
             total = int(np.ceil(config.fraction * sum(len(s) for s in past_states)))
-            picks = sample_temporal_decay(past_states, total, rng)
-            selections = dict(enumerate(picks))
+            selections = dict(enumerate(sample_temporal_decay(past_states, total, rng)))
         elif config.strategy == "stride":
-            selections_s, skipped = sample_strided(
+            selections, skipped = sample_strided(
                 past_states, stride=config.stride, fraction=config.fraction, rng=rng
             )
-            selections.update(selections_s)
 
-    coords_parts = []
-    origin_parts = []
-    for pos, state in enumerate(past_states):
-        idx = selections.get(pos)
-        if idx is None or idx.size == 0:
-            continue
-        part = np.empty((idx.size, 4))
-        part[:, :3] = state.coords[idx]
-        part[:, 3] = pos * config.time_scale
-        coords_parts.append(part)
-        orig = np.empty((idx.size, 2), dtype=np.int64)
-        orig[:, 0] = state.scan_index
-        orig[:, 1] = idx
-        origin_parts.append(orig)
-
+    # (slot, scan, xyz, point indices) per scan, oldest first: rows come out
+    # sorted by (scan, point)
     n_cur = current_coords.shape[0]
-    cur = np.empty((n_cur, 4))
-    cur[:, :3] = current_coords
-    cur[:, 3] = n_past * config.time_scale
-    coords_parts.append(cur)
-    cur_orig = np.empty((n_cur, 2), dtype=np.int64)
-    cur_orig[:, 0] = current_index
-    cur_orig[:, 1] = np.arange(n_cur)
-    origin_parts.append(cur_orig)
-
-    coords = np.vstack(coords_parts)
-    origin = np.vstack(origin_parts)
+    blocks = [(pos, past_states[pos].scan_index, past_states[pos].coords[idx], idx)
+              for pos, idx in sorted(selections.items())]
+    blocks.append((n_past, current_index, current_coords, np.arange(n_cur)))
+    coords = np.vstack([np.column_stack([xyz, np.full(idx.size, slot * config.time_scale)])
+                        for slot, _, xyz, idx in blocks])
+    origin = np.vstack([np.column_stack([np.full(idx.size, scan, dtype=np.int64), idx])
+                        for _, scan, _, idx in blocks])
     is_current = np.zeros(coords.shape[0], dtype=bool)
     is_current[-n_cur:] = True
 

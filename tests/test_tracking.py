@@ -325,3 +325,61 @@ class TestOnlinePipeline:
             assert mapping[40 + w] == global_id
             cur.instance[cur.instance == 40 + w] = mapping[40 + w]
             prev = cur
+
+
+class TestWindowRowOrder:
+    def test_rows_out_of_scan_order_rejected(self):
+        with pytest.raises(ValidationError, match="order"):
+            window(0, [(1, 0, 1, CAR), (0, 5, 1, CAR)], {0, 1})
+
+    def test_rows_out_of_point_order_rejected(self):
+        with pytest.raises(ValidationError, match="order"):
+            window(0, [(0, 3, 1, CAR), (0, 1, 1, CAR)], {0})
+
+    def test_duplicate_rows_still_rejected(self):
+        with pytest.raises(ValidationError):
+            window(0, [(0, 0, 1, CAR), (0, 2, 1, CAR), (0, 2, 3, CAR)], {0})
+
+    def test_sorted_rows_accepted(self):
+        result = window(0, [(0, 4, 1, CAR), (1, 0, 1, CAR), (1, 9, 0, ROAD)], {0, 1})
+        assert result.keys().tolist() == [4, 1 << 32, (1 << 32) | 9]
+
+
+class TestLoadScanValidation:
+    """Bad library input fails naming its scan instead of reaching the labels."""
+
+    def run(self, fields_fn, semantics_fn, data):
+        run_online_pipeline(
+            MemorySequence(data), fields_fn, semantics_fn,
+            VolumeConfig(strategy="importance", tau=2),
+            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+        )
+
+    @pytest.mark.parametrize("rows", ["double", 10])
+    def test_variance_shape_mismatch(self, rows):
+        data = generate_sequence(single_object_scene(n_scans=4))
+        fields_fn, semantics_fn = oracle_providers(data)
+
+        def bad_fields(s):
+            emb, var, obj = fields_fn(s)
+            if s == 2:
+                var = np.vstack([var, var]) if rows == "double" else var[:rows]
+            return emb, var, obj
+
+        with pytest.raises(ValidationError, match="scan 2: variances"):
+            self.run(bad_fields, semantics_fn, data)
+
+    @pytest.mark.parametrize("bad_class", [-3, 0x10000])
+    def test_class_outside_label_field(self, bad_class):
+        data = generate_sequence(single_object_scene(n_scans=4))
+        fields_fn, semantics_fn = oracle_providers(data)
+
+        def bad_semantics(s):
+            sem = semantics_fn(s).copy()
+            if s == 1:
+                sem[0] = bad_class
+            return sem
+
+        with pytest.raises(ValidationError, match="scan 1: predicted class"):
+            self.run(fields_fn, bad_semantics, data)
+

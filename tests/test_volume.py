@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from pan4d.errors import ValidationError
+from pan4d import volume
+from pan4d.errors import InvariantError, ValidationError
 from pan4d.kitti_io import Pose
 from pan4d.volume import (
     PastScanState,
@@ -328,3 +332,102 @@ class TestBuildVolume:
             VolumeConfig(strategy="importance", fraction=0.0).validate()
         with pytest.raises(ValidationError):
             VolumeConfig(strategy="base", tau=2).validate()
+
+
+def brute_force_backfill(inc, origin, sem, inst, query):
+    """All-pairs squared distances; ties go to the lowest (scan, point)."""
+    best = np.empty(query.shape[0], dtype=np.int64)
+    for q in range(query.shape[0]):
+        diff = inc - query[q]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        tied = np.flatnonzero(d2 == d2.min())
+        best[q] = tied[np.lexsort((origin[tied, 1], origin[tied, 0]))[0]]
+    return sem[best], inst[best]
+
+
+@st.composite
+def backfill_inputs(draw):
+    """Coordinates on a coarse grid, so equidistant and coincident rows are
+    common, and unique (scan, point) origins in shuffled order."""
+    n = draw(st.integers(1, 40))
+    n_query = draw(st.integers(0, 30))
+    step = draw(st.sampled_from([0.5, 0.1]))
+    coord = st.integers(-4, 4)
+    inc = np.array(draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)),
+                   dtype=np.float64).reshape(n, 3) * step
+    # queries on the half grid land midway between rows, which ties them
+    qcoord = st.integers(-8, 8)
+    query = np.array(draw(st.lists(st.tuples(qcoord, qcoord, qcoord), min_size=n_query,
+                                   max_size=n_query)), dtype=np.float64).reshape(n_query, 3)
+    origin = np.array(draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 15)),
+                                    min_size=n, max_size=n, unique=True)), dtype=np.int64)
+    sem = np.arange(n, dtype=np.int64) + 100  # one value per row: the winner is visible
+    inst = np.arange(n, dtype=np.int64)
+    return inc, origin, sem, inst, query * (step / 2)
+
+
+class TestBackfillMatchesOracle:
+    @staticmethod
+    def check(inc, origin, sem, inst, query):
+        got_sem, got_inst = backfill_skipped(inc, origin, sem, inst, query)
+        want_sem, want_inst = brute_force_backfill(inc, origin, sem, inst, query)
+        np.testing.assert_array_equal(got_sem, want_sem)
+        np.testing.assert_array_equal(got_inst, want_inst)
+        assert got_sem.dtype == sem.dtype and got_inst.dtype == inst.dtype
+
+    @given(backfill_inputs())
+    def test_rounded_grid_shuffled_origins(self, inputs):
+        self.check(*inputs)
+
+    def test_zero_queries(self):
+        inc = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        got_sem, got_inst = backfill_skipped(inc, np.array([[1, 0], [0, 3]]), np.array([5, 6]),
+                                             np.array([1, 2]), np.zeros((0, 3)))
+        assert got_sem.shape == got_inst.shape == (0,)
+
+    def test_single_included_row(self):
+        query = np.array([[0.0, 0.0, 0.0], [3.0, -1.0, 2.0], [1.0, 1.0, 1.0]])
+        self.check(np.array([[1.0, 1.0, 1.0]]), np.array([[2, 7]]), np.array([CAR]),
+                   np.array([4]), query)
+
+    def test_coincident_rows_lowest_origin_wins(self):
+        inc = np.zeros((4, 3))
+        origin = np.array([[3, 0], [1, 8], [1, 2], [2, 1]])
+        self.check(inc, origin, np.arange(4), np.arange(4), np.array([[0.0, 0.0, 0.5]]))
+
+    def test_empty_ball_is_an_invariant_error(self, monkeypatch):
+        class NoBalls:
+            def __init__(self, data):
+                self.tree = cKDTree(data)
+
+            def query(self, x, k):
+                return self.tree.query(x, k=k)
+
+            def query_ball_point(self, x, r):
+                return [[] for _ in x]
+
+        monkeypatch.setattr(volume, "cKDTree", NoBalls)
+        with pytest.raises(InvariantError):
+            backfill_skipped(np.zeros((2, 3)), np.array([[0, 0], [0, 1]]), np.array([1, 2]),
+                             np.array([1, 2]), np.ones((1, 3)))
+
+
+class TestVolumeRowOrder:
+    @pytest.mark.parametrize("strategy,tau,max_points", [
+        ("base", 1, None), ("thing", 4, None), ("thing", 4, 900), ("importance", 4, None),
+        ("decay", 4, None), ("stride", 4, None),
+    ])
+    def test_origin_strictly_increases(self, strategy, tau, max_points):
+        rng = np.random.default_rng(12)
+        states = [
+            make_state(2 + i, rng.normal(size=(400, 3)), objectness=rng.uniform(size=400),
+                       semantic=rng.choice([CAR, ROAD], size=400))
+            for i in range(tau - 1)
+        ]
+        cfg = VolumeConfig(strategy=strategy, tau=tau, max_points=max_points)
+        vol = build_volume(rng.normal(size=(500, 3)), 2 + tau - 1, states, cfg,
+                           np.random.default_rng(0), thing_classes={CAR})
+        keys = vol.origin[:, 0] * 10_000_000 + vol.origin[:, 1]
+        assert len(vol) > 500 or strategy == "base"
+        assert (np.diff(keys) > 0).all()
+
