@@ -28,10 +28,9 @@ from .synth import class_map_for, generate_sequence, scene_spec_from_dict, write
 from .tracking import run_online_pipeline
 
 
-def _sequence_dirs(root, sequences):
-    if sequences:
-        return [(s, os.path.join(root, s)) for s in sequences]
-    return [("", root)]
+def _seq_path(root, seq, *parts):
+    """root/seq/parts..., or root/parts... for the unnamed sequence ""."""
+    return os.path.join(root, *([seq] if seq else []), *parts)
 
 
 def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed):
@@ -64,8 +63,7 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed):
         window_stride=cfg.window_stride,
     )
 
-    pred_dir = os.path.join(out_root, seq_name, "predictions") if seq_name else \
-        os.path.join(out_root, "predictions")
+    pred_dir = _seq_path(out_root, seq_name, "predictions")
     os.makedirs(pred_dir, exist_ok=True)
     for t, labels in enumerate(result.labels):
         kitti_io.write_labels(labels, os.path.join(pred_dir, f"{t:06d}.label"))
@@ -78,7 +76,7 @@ def cmd_run(args) -> int:
     cfg = run_config_from_sources(file_data, {k: getattr(args, k) for k in keys})
     cfg.validate()
 
-    jobs = _sequence_dirs(cfg.data_dir, cfg.sequences)
+    jobs = [(s, _seq_path(cfg.data_dir, s)) for s in cfg.sequences or [""]]
     seeds = {name: [cfg.seed, k] for k, (name, _) in enumerate(sorted(jobs))}
 
     def work(job):
@@ -101,17 +99,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _label_files(d):
-    return [os.path.join(d, n) for n in sorted(os.listdir(d)) if n.endswith(".label")]
-
-
-def _stream_from_dir(d):
-    for path in _label_files(d):
-        yield kitti_io.read_labels(path)
-
-
 def _pred_dir_for(pred_root, seq):
-    base = os.path.join(pred_root, seq) if seq else pred_root
+    base = _seq_path(pred_root, seq)
     for sub in ("predictions", "labels"):
         cand = os.path.join(base, sub)
         if os.path.isdir(cand):
@@ -134,18 +123,18 @@ def cmd_evaluate(args) -> int:
 
     gt_streams, pred_streams = {}, {}
     for seq in sequences:
-        gt_dir = os.path.join(args.gt, seq, "labels") if seq else os.path.join(args.gt, "labels")
+        gt_dir = _seq_path(args.gt, seq, "labels")
         if not os.path.isdir(gt_dir):
             raise FormatError(f"{gt_dir}: missing ground-truth labels directory")
         pred_dir = _pred_dir_for(args.pred, seq)
-        gt_files = _label_files(gt_dir)
-        pred_files = _label_files(pred_dir)
+        gt_files = kitti_io.listdir_sorted(gt_dir, ".label")
+        pred_files = kitti_io.listdir_sorted(pred_dir, ".label")
         if [os.path.basename(p) for p in gt_files] != [os.path.basename(p) for p in pred_files]:
             raise FormatError(
                 f"sequence {seq or '.'}: gt and pred label file sets differ"
             )
-        gt_streams[seq] = _stream_from_dir(gt_dir)
-        pred_streams[seq] = _stream_from_dir(pred_dir)
+        gt_streams[seq] = map(kitti_io.read_labels, gt_files)
+        pred_streams[seq] = map(kitti_io.read_labels, pred_files)
 
     report = evaluate(gt_streams, pred_streams, cfg)
     report.write_text(args.report)

@@ -28,6 +28,31 @@ SIDECAR_MAGIC = b"P4DE"
 SIDECAR_VERSION = 1
 
 
+def check_fields(embeddings, variances, objectness, name="embedding"):
+    """The per-point field rules, or a ValidationError naming the first broken one.
+
+    Embeddings are an (M, D) matrix with D >= 1 and finite values; variances
+    have that shape and are finite and > 0; objectness is (M,), finite and in
+    [0, 1]. Coordinate-only fields pass None for embeddings and variances, and
+    only their objectness is checked. Messages call the embeddings `name`.
+    """
+    if embeddings is not None or variances is not None:
+        if embeddings is None or embeddings.ndim != 2 or embeddings.shape[1] == 0:
+            raise ValidationError(f"{name}s must be an (M, D) matrix with D >= 1")
+        if variances is None or variances.shape != embeddings.shape:
+            raise ValidationError(f"variances must have the {name}s' shape {embeddings.shape}")
+    rows = objectness.shape[:1] if embeddings is None else embeddings.shape[:1]
+    if objectness.ndim != 1 or objectness.shape != rows:
+        raise ValidationError(f"objectness must be one value per point, got shape "
+                              f"{objectness.shape}")
+    if embeddings is not None and not np.isfinite(embeddings).all():
+        raise ValidationError(f"non-finite {name} value")
+    if variances is not None and not (np.isfinite(variances) & (variances > 0)).all():
+        raise ValidationError("variances must be finite and strictly positive")
+    if not ((objectness >= 0) & (objectness <= 1)).all():
+        raise ValidationError("objectness must be finite and in [0, 1]")
+
+
 @dataclass
 class ClusterFields:
     """Per-point embedding, variance, and objectness maps for one volume."""
@@ -37,19 +62,7 @@ class ClusterFields:
     objectness: np.ndarray  # (M,) in [0, 1]
 
     def __post_init__(self):
-        m = self.objectness.shape[0]
-        if self.embeddings is not None:
-            if self.embeddings.shape[0] != m:
-                raise ValidationError("embeddings row count does not match objectness")
-            if not np.isfinite(self.embeddings).all():
-                raise ValidationError("non-finite embedding value")
-        if self.variances is not None:
-            if self.variances.shape[0] != m:
-                raise ValidationError("variances row count does not match objectness")
-            if not (np.isfinite(self.variances) & (self.variances > 0)).all():
-                raise ValidationError("variances must be finite and strictly positive")
-        if not ((self.objectness >= 0) & (self.objectness <= 1)).all():
-            raise ValidationError("objectness must be finite and in [0, 1]")
+        check_fields(self.embeddings, self.variances, self.objectness)
 
     def __len__(self):
         return self.objectness.shape[0]
@@ -150,18 +163,7 @@ def gaussian_affinity(e_i, e_j, var_i, normalized: bool = False):
 
 def _check_volume(features, variances, objectness, params):
     params.validate()
-    if variances.shape != features.shape:
-        raise ValidationError("variances must match the feature matrix shape")
-    if objectness.shape[0] != features.shape[0]:
-        raise ValidationError("objectness length must match the feature matrix")
-    if features.ndim != 2 or features.shape[1] == 0:
-        raise ValidationError("features must be an (M, D) matrix with D >= 1")
-    if not np.isfinite(features).all():
-        raise ValidationError("non-finite feature value")
-    if not (np.isfinite(variances) & (variances > 0)).all():
-        raise ValidationError("variances must be finite and strictly positive")
-    if not np.isfinite(objectness).all():
-        raise ValidationError("non-finite objectness value")
+    check_fields(features, variances, objectness, name="feature")
 
 
 def _member_radii(variances: np.ndarray, params: ClusterParams) -> np.ndarray:
@@ -213,8 +215,7 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
     point for every seed.
 
     Raises:
-        ValidationError: bad params, mismatched shapes, non-finite features or
-            objectness, or variances that are not finite and positive.
+        ValidationError: bad params, or inputs that break `check_fields`.
     """
     _check_volume(features, variances, objectness, params)
     m = features.shape[0]

@@ -270,7 +270,8 @@ class SequenceHandle:
         return bool(self.fields_paths)
 
 
-def _listdir_sorted(d, suffix):
+def listdir_sorted(d, suffix):
+    """Paths of the files in d whose names end with suffix, sorted by name."""
     return [os.path.join(d, n) for n in sorted(os.listdir(d)) if n.endswith(suffix)]
 
 
@@ -287,17 +288,17 @@ def load_sequence(seq_dir, scan_range=None) -> SequenceHandle:
     velo_dir = os.path.join(seq_dir, "velodyne")
     if not os.path.isdir(velo_dir):
         raise FormatError(f"{seq_dir}: no velodyne/ directory")
-    scan_paths = _listdir_sorted(velo_dir, ".bin")
+    scan_paths = listdir_sorted(velo_dir, ".bin")
 
     labels_dir = os.path.join(seq_dir, "labels")
-    label_paths = _listdir_sorted(labels_dir, ".label") if os.path.isdir(labels_dir) else []
+    label_paths = listdir_sorted(labels_dir, ".label") if os.path.isdir(labels_dir) else []
     if label_paths and len(label_paths) != len(scan_paths):
         raise FormatError(
             f"{seq_dir}: {len(scan_paths)} scans but {len(label_paths)} label files"
         )
 
     fields_dir = os.path.join(seq_dir, "fields")
-    fields_paths = _listdir_sorted(fields_dir, ".p4de") if os.path.isdir(fields_dir) else []
+    fields_paths = listdir_sorted(fields_dir, ".p4de") if os.path.isdir(fields_dir) else []
     if fields_paths and len(fields_paths) != len(scan_paths):
         raise FormatError(
             f"{seq_dir}: {len(scan_paths)} scans but {len(fields_paths)} fields files"

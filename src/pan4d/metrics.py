@@ -18,7 +18,7 @@ import itertools
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -339,49 +339,35 @@ class PanopticEvaluator:
 
 @dataclass
 class MetricReport:
-    """Aggregate and per-class results plus the counts behind them."""
+    """Aggregate and per-class results plus the counts behind them.
 
-    s_cls: float
-    s_assoc: float
+    The scalar fields come first, in report order; `scalars()` reads them
+    from the field list."""
+
     lstq: float
+    s_assoc: float
+    s_cls: float
     miou: float
-    iou_per_class: dict
     iou_things_mean: float
     iou_stuff_mean: float
     pq: float
+    pq_dagger: float
     sq: float
     rq: float
-    pq_dagger: float
-    pq_dagger_per_class: dict
-    pq_per_class: dict
-    mots_per_class: dict
     motsa_mean: float
     smotsa_mean: float
     ptq_mean: float
     sptq_mean: float
     n_gt_tubes: int
     n_pred_tubes: int
+    iou_per_class: dict
+    pq_dagger_per_class: dict
+    pq_per_class: dict
+    mots_per_class: dict
     warnings: list = field(default_factory=list)
 
     def scalars(self):
-        return {
-            "lstq": self.lstq,
-            "s_assoc": self.s_assoc,
-            "s_cls": self.s_cls,
-            "miou": self.miou,
-            "iou_things_mean": self.iou_things_mean,
-            "iou_stuff_mean": self.iou_stuff_mean,
-            "pq": self.pq,
-            "pq_dagger": self.pq_dagger,
-            "sq": self.sq,
-            "rq": self.rq,
-            "motsa_mean": self.motsa_mean,
-            "smotsa_mean": self.smotsa_mean,
-            "ptq_mean": self.ptq_mean,
-            "sptq_mean": self.sptq_mean,
-            "n_gt_tubes": self.n_gt_tubes,
-            "n_pred_tubes": self.n_pred_tubes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type in ("float", "int")}
 
     def _class_ids(self):
         return sorted(

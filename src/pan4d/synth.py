@@ -14,11 +14,12 @@ class flips, dropped points, id switches) are provided for metric tests.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .clustering import write_cluster_fields
+from .config import coerce
 from .errors import ValidationError
 from .kitti_io import PanopticLabels, Pose, Scan, write_labels, write_point_scan
 from .losses import InstanceGroundTruth, objectness_target
@@ -34,6 +35,8 @@ DEFAULT_CALIB_TR = np.array(
         [0.0, 0.0, 0.0, 1.0],
     ]
 )
+
+SEQUENCE_NAME = "00"  # sequence directory of a scene spec without a name
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,8 @@ class ObjectSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    n_scans: int
-    objects: tuple
+    n_scans: int = 10
+    objects: tuple = ()
     background_class: int = 40
     background_points: int = 0
     background_extent: float = 60.0
@@ -72,9 +75,11 @@ class SceneSpec:
             raise ValidationError("sequence length must be >= 1")
         if not self.objects:
             raise ValidationError("scene needs at least one object")
+        if self.background_points < 0 or self.seed < 0:
+            raise ValidationError("background points and seed must be >= 0")
         for obj in self.objects:
-            if obj.n_points < 1 or obj.sigma <= 0:
-                raise ValidationError("object point counts and sigma must be positive")
+            if obj.n_points < 1 or obj.sigma <= 0 or obj.oracle_sigma() <= 0:
+                raise ValidationError("object point counts and sigmas must be positive")
         self._check_separation()
         self._check_background_clearance()
         return self
@@ -308,39 +313,62 @@ def drop_points(labels, fraction: float, seed: int = 0):
     return out
 
 
+# YAML key of a scene spec -> SceneSpec / ObjectSpec field; a nested table
+# reads a nested mapping
+_SCENE_KEYS = {
+    "n_scans": "n_scans", "seed": "seed", "noise_sigma": "noise_sigma",
+    "min_separation_sigma": "min_separation_sigma",
+    "background": {"class": "background_class", "points": "background_points",
+                   "extent": "background_extent"},
+    "ego": {"velocity": "ego_velocity", "yaw_rate": "ego_yaw_rate"},
+}
+_OBJECT_KEYS = {"class": "class_id", "points": "n_points", "sigma": "sigma", "start": "start",
+                "velocity": "velocity", "cluster_sigma": "cluster_sigma"}
+
+
+def _spec_values(cls, data, keys, prefix=""):
+    """{field: value} of dataclass cls from the YAML mapping data, read by the
+    key table keys. Values go through config.coerce() by field type, a tuple
+    field takes 3 numbers, and an unknown key fails."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{prefix[:-1]}: expected a mapping, got {data!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    out = {}
+    for key, value in data.items():
+        target, path = keys.get(key), f"{prefix}{key}"
+        if target is None:
+            raise ValidationError(f"unknown scene spec key {path!r}")
+        if isinstance(target, dict):
+            out.update(_spec_values(cls, {} if value is None else value, target, path + "."))
+        elif types[target] == "tuple":
+            if not isinstance(value, (list, tuple)) or len(value) != 3:
+                raise ValidationError(f"{path}: expected 3 numbers, got {value!r}")
+            out[target] = tuple(coerce(path, v, "float") for v in value)
+        else:
+            out[target] = coerce(path, value, types[target])
+    return out
+
+
 def scene_spec_from_dict(data: dict):
-    """Build a SceneSpec from a parsed YAML mapping; returns (spec, name)."""
-    try:
-        objects = tuple(
-            ObjectSpec(
-                class_id=int(o["class"]),
-                n_points=int(o["points"]),
-                sigma=float(o["sigma"]),
-                start=tuple(float(v) for v in o["start"]),
-                velocity=tuple(float(v) for v in o.get("velocity", (0, 0, 0))),
-                cluster_sigma=(
-                    float(o["cluster_sigma"]) if "cluster_sigma" in o else None
-                ),
-            )
-            for o in data["objects"]
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scene spec object is missing key {exc}") from exc
-    background = data.get("background") or {}
-    ego = data.get("ego") or {}
-    spec = SceneSpec(
-        n_scans=int(data.get("n_scans", 10)),
-        objects=objects,
-        background_class=int(background.get("class", 40)),
-        background_points=int(background.get("points", 0)),
-        background_extent=float(background.get("extent", 60.0)),
-        noise_sigma=float(data.get("noise_sigma", 0.0)),
-        seed=int(data.get("seed", 0)),
-        ego_velocity=tuple(float(v) for v in ego.get("velocity", (0, 0, 0))),
-        ego_yaw_rate=float(ego.get("yaw_rate", 0.0)),
-        min_separation_sigma=float(data.get("min_separation_sigma", 10.0)),
-    )
-    return spec, str(data.get("name", "00"))
+    """Build a SceneSpec from a parsed YAML mapping; returns (spec, name).
+
+    Absent keys keep the SceneSpec and ObjectSpec defaults. An unknown key, a
+    value of the wrong type or a vector that is not 3 numbers fails.
+    """
+    data = dict(data)
+    name = str(data.pop("name", SEQUENCE_NAME))
+    objects = data.pop("objects", SceneSpec.objects)
+    if not isinstance(objects, (list, tuple)):
+        raise ValidationError(f"objects: expected a list, got {objects!r}")
+    required = {f.name for f in fields(ObjectSpec) if f.default is MISSING}
+    specs = []
+    for k, obj in enumerate(objects):
+        values = _spec_values(ObjectSpec, obj, _OBJECT_KEYS, f"objects[{k}].")
+        missing = [key for key, f in _OBJECT_KEYS.items() if f in required - set(values)]
+        if missing:
+            raise ValidationError(f"objects[{k}]: missing key {missing[0]!r}")
+        specs.append(ObjectSpec(**values))
+    return SceneSpec(objects=tuple(specs), **_spec_values(SceneSpec, data, _SCENE_KEYS)), name
 
 
 def class_map_for(spec: SceneSpec) -> dict:

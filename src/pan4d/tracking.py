@@ -29,6 +29,7 @@ from .clustering import (
     ClusterFields,
     ClusterParams,
     build_point_features,
+    check_fields,
     cluster_volume,
     majority_vote_classes,
 )
@@ -118,15 +119,17 @@ class PipelineResult:
 
 
 def _load_scan(seq, s, fields_fn, semantics_fn):
-    """(aligned coords, (emb, var, obj), predicted classes) of scan s."""
+    """(aligned coords, (emb, var, obj), predicted classes) of scan s, with
+    every field value checked once, here."""
     scan = seq.scan(s)
     emb, var, obj = fields_fn(s)
     sem = np.asarray(semantics_fn(s), dtype=np.int64)
-    if not (len(scan) == emb.shape[0] == obj.shape[0] == sem.shape[0]):
+    try:
+        check_fields(emb, var, obj)
+    except ValidationError as exc:
+        raise ValidationError(f"scan {s}: {exc}") from exc
+    if not (len(scan) == emb.shape[0] == sem.shape[0]):
         raise ValidationError(f"scan {s}: fields/semantics length mismatch")
-    if var.shape != emb.shape:
-        raise ValidationError(
-            f"scan {s}: variances shape {var.shape} != embeddings shape {emb.shape}")
     if sem.size and (sem.min() < 0 or sem.max() > LABEL_FIELD_MAX):
         raise ValidationError(f"scan {s}: predicted class ids must lie in [0, {LABEL_FIELD_MAX}]")
     return align_scan(scan, seq.pose(s)), (emb, var, obj), sem

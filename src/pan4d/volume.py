@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .clustering import check_fields
 from .errors import InvariantError, ValidationError
 from .kitti_io import Pose, Scan
 
@@ -66,9 +67,7 @@ class PastScanState:
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValidationError(f"{name} length {arr.shape[0]} != {n} points")
-        obj = np.asarray(self.objectness, dtype=np.float64)
-        if obj.size and (not np.isfinite(obj).all() or obj.min() < 0 or obj.max() > 1):
-            raise ValidationError("objectness must be finite and in [0, 1]")
+        check_fields(None, None, self.objectness)
 
     def __len__(self):
         return self.coords.shape[0]
@@ -85,8 +84,6 @@ class Volume4D:
 
     coords: np.ndarray  # (M, 4): x, y, z world meters; t = slot * time_scale
     origin: np.ndarray  # (M, 2) int64: (scan_index, point_index)
-    is_current: np.ndarray  # (M,) bool
-    n_current: int
     window: tuple  # (first_scan_index, last_scan_index), inclusive
     skipped_scans: list = field(default_factory=list)  # stride strategy only
 
@@ -296,22 +293,17 @@ def build_volume(
 
     # (slot, scan, xyz, point indices) per scan, oldest first: rows come out
     # sorted by (scan, point)
-    n_cur = current_coords.shape[0]
     blocks = [(pos, past_states[pos].scan_index, past_states[pos].coords[idx], idx)
               for pos, idx in sorted(selections.items())]
-    blocks.append((n_past, current_index, current_coords, np.arange(n_cur)))
+    blocks.append((n_past, current_index, current_coords, np.arange(current_coords.shape[0])))
     coords = np.vstack([np.column_stack([xyz, np.full(idx.size, slot * config.time_scale)])
                         for slot, _, xyz, idx in blocks])
     origin = np.vstack([np.column_stack([np.full(idx.size, scan, dtype=np.int64), idx])
                         for _, scan, _, idx in blocks])
-    is_current = np.zeros(coords.shape[0], dtype=bool)
-    is_current[-n_cur:] = True
 
     return Volume4D(
         coords=coords,
         origin=origin,
-        is_current=is_current,
-        n_current=n_cur,
         window=(expect_first, current_index),
         skipped_scans=[past_states[pos].scan_index for pos in skipped],
     )

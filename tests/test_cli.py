@@ -121,6 +121,33 @@ class TestEndToEnd:
                 assert fa.read_bytes() == fb.read_bytes()
 
 
+class TestSceneSpec:
+    @pytest.mark.parametrize("change, named", [
+        ({"n_scans": "abc"}, "n_scans"),
+        ({"n_scans": 2.7}, "n_scans"),
+        ({"objects": [{"class": CAR, "points": 60, "sigma": 0.3, "start": [0, 5]}]},
+         "objects[0].start"),
+        ({"objects": [{"class": CAR, "points": 60, "start": [12, 0, 6]}]}, "'sigma'"),
+        ({"objects": [{**SCENE["objects"][0], "cluster_sigma": 0}]}, "sigma"),
+        ({"objects": 3}, "objects"),
+        ({"noise_sigm": 0.01}, "noise_sigm"),
+        ({"background": 5}, "background"),
+        ({"background": {"points": -5}}, "background points"),
+        ({"ego": {"yaw": 0.1}}, "ego.yaw"),
+        ({"ego": {"velocity": [1, 2, "x"]}}, "ego.velocity"),
+        ({"seed": -1}, "seed"),
+    ])
+    def test_bad_spec_exits_one_and_writes_nothing(self, change, named, tmp_path, capsys):
+        spec_path = tmp_path / "scene.yaml"
+        spec_path.write_text(yaml.safe_dump({**SCENE, **change}))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestCombine:
     def test_reported_pair(self, capsys):
         assert main(["evaluate", "--combine", "0.6511", "0.6046"]) == 0

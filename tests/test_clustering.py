@@ -17,6 +17,7 @@ from pan4d.clustering import (
     write_cluster_fields,
 )
 from pan4d.errors import FormatError, ValidationError
+from pan4d.volume import PastScanState
 
 from conftest import random_rigid
 
@@ -85,6 +86,13 @@ class TestClusterFieldsValues:
     def test_coordinate_only_fields_still_check_objectness(self):
         with pytest.raises(ValidationError, match="obj"):
             ClusterFields(None, None, np.array([0.2, 1.5]))
+
+    def test_one_rule_for_clustering_and_past_scans(self):
+        obj = np.array([0.2, 1.5])
+        with pytest.raises(ValidationError, match="objectness must be finite and in"):
+            cluster_volume(np.zeros((2, 2)), np.ones((2, 2)), obj, ClusterParams())
+        with pytest.raises(ValidationError, match="objectness must be finite and in"):
+            PastScanState(0, np.zeros((2, 3)), obj, np.zeros(2, dtype=np.int64))
 
 
 class TestGaussianAffinity:

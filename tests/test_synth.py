@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,17 @@ class TestGeneration:
         assert name == "07"
         assert spec.n_scans == 4
         assert spec.objects[0].n_points == 12
+
+    def test_spec_from_dict_keeps_dataclass_defaults(self):
+        spec, _ = scene_spec_from_dict(
+            {"objects": [{"class": CAR, "points": 12, "sigma": 0.2, "start": [3, 0, 5]}]}
+        )
+        default = SceneSpec()
+        for f in fields(SceneSpec):
+            if f.name not in ("objects", "calib_tr"):
+                assert getattr(spec, f.name) == getattr(default, f.name), f.name
+        assert spec.objects[0] == ObjectSpec(class_id=CAR, n_points=12, sigma=0.2,
+                                             start=(3.0, 0.0, 5.0))
 
 
 class TestRoundTrip:

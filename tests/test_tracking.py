@@ -348,12 +348,29 @@ class TestWindowRowOrder:
 class TestLoadScanValidation:
     """Bad library input fails naming its scan instead of reaching the labels."""
 
-    def run(self, fields_fn, semantics_fn, data):
+    def run(self, fields_fn, semantics_fn, data, window_stride=1):
         run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
             VolumeConfig(strategy="importance", tau=2),
             oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+            window_stride=window_stride,
         )
+
+    @pytest.mark.parametrize("window_stride", [1, 2])
+    def test_nan_embedding_names_its_scan(self, window_stride):
+        # at window stride 2 scan 1 enters no volume: only its load sees the NaN
+        data = generate_sequence(single_object_scene(n_scans=4))
+        fields_fn, semantics_fn = oracle_providers(data)
+
+        def bad_fields(s):
+            emb, var, obj = fields_fn(s)
+            if s == 1:
+                emb = emb.copy()
+                emb[3, 0] = np.nan
+            return emb, var, obj
+
+        with pytest.raises(ValidationError, match="scan 1: non-finite embedding"):
+            self.run(bad_fields, semantics_fn, data, window_stride)
 
     @pytest.mark.parametrize("rows", ["double", 10])
     def test_variance_shape_mismatch(self, rows):

@@ -247,9 +247,20 @@ class TestBuildVolume:
             states = self._states(rng, 0, 3, n=500)
             cur = rng.normal(size=(777, 3))
             vol = build_volume(cur, 3, states, cfg, np.random.default_rng(0), {CAR})
-            assert vol.n_current == 777
-            assert vol.is_current.sum() == 777
-            np.testing.assert_allclose(vol.coords[vol.is_current, :3], cur)
+            current = vol.origin[:, 0] == 3
+            assert current.sum() == 777
+            np.testing.assert_array_equal(vol.origin[current, 1], np.arange(777))
+            np.testing.assert_allclose(vol.coords[current, :3], cur)
+
+    def test_empty_current_scan_leaves_past_rows_past(self):
+        rng = np.random.default_rng(12)
+        cfg = VolumeConfig(strategy="importance", tau=2)
+        states = self._states(rng, 0, 1, n=50)
+        vol = build_volume(np.empty((0, 3)), 1, states, cfg, np.random.default_rng(0))
+        assert len(vol) == 5
+        assert not (vol.origin[:, 0] == 1).any()
+        assert (vol.origin[:, 0] == 0).all()
+        assert (vol.coords[:, 3] == 0.0).all()
 
     def test_memory_proxy_importance_tau4(self):
         # 1 + 3 * 0.10 = 1.3x a single scan on uniform synthetic scans
@@ -268,7 +279,7 @@ class TestBuildVolume:
                            np.random.default_rng(0))
         slots = np.unique(vol.coords[:, 3])
         assert set(slots) <= {0.0, 0.5, 1.0, 1.5}
-        assert vol.coords[vol.is_current, 3].min() == 1.5
+        assert vol.coords[vol.origin[:, 0] == 3, 3].min() == 1.5
 
     def test_truncated_window_at_sequence_start(self):
         rng = np.random.default_rng(6)
@@ -277,7 +288,7 @@ class TestBuildVolume:
         vol = build_volume(rng.normal(size=(100, 3)), 1, states, cfg,
                            np.random.default_rng(0))
         assert vol.window == (0, 1)
-        assert vol.coords[vol.is_current, 3].max() == 1.0
+        assert vol.coords[vol.origin[:, 0] == 1, 3].max() == 1.0
 
     def test_origin_pairs_unique(self):
         rng = np.random.default_rng(7)
@@ -323,7 +334,8 @@ class TestBuildVolume:
         vol = build_volume(rng.normal(size=(500, 3)), 2, states, cfg,
                            np.random.default_rng(0), thing_classes={CAR})
         assert len(vol) <= 700
-        assert vol.n_current == 500  # the budget never shrinks the newest scan
+        # the budget never shrinks the newest scan
+        assert (vol.origin[:, 0] == 2).sum() == 500
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
