@@ -353,10 +353,13 @@ def scene_spec_from_dict(data: dict):
     """Build a SceneSpec from a parsed YAML mapping; returns (spec, name).
 
     Absent keys keep the SceneSpec and ObjectSpec defaults. An unknown key, a
-    value of the wrong type or a vector that is not 3 numbers fails.
+    value of the wrong type or a vector that is not 3 numbers fails, and so
+    does a name that is not one plain path component.
     """
     data = dict(data)
-    name = str(data.pop("name", SEQUENCE_NAME))
+    name = coerce("name", data.pop("name", SEQUENCE_NAME), "str")
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValidationError(f"name: expected one plain path component, got {name!r}")
     objects = data.pop("objects", SceneSpec.objects)
     if not isinstance(objects, (list, tuple)):
         raise ValidationError(f"objects: expected a list, got {objects!r}")

@@ -78,6 +78,16 @@ class TrackLedger:
         return gid
 
 
+def join_sorted(a: np.ndarray, b: np.ndarray):
+    """(a_at, b_at): where the values shared by the strictly increasing
+    arrays a and b sit in each, in increasing value order. The same as
+    np.intersect1d(a, b, assume_unique=True, return_indices=True)[1:], by one
+    searchsorted of b into a instead of a sort of both."""
+    pos = np.searchsorted(a, b)
+    b_at = np.flatnonzero(a[np.minimum(pos, a.size - 1)] == b) if a.size else pos[:0]
+    return pos[b_at], b_at
+
+
 def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger,
                       iou_threshold: float = 0.5) -> dict:
     """Map every cur instance id to a global id by overlap with prev.
@@ -95,9 +105,7 @@ def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger
             prev.window_id, cur.window_id,
         )
     else:
-        _, prev_at, cur_at = np.intersect1d(
-            prev.keys(), cur.keys(), assume_unique=True, return_indices=True
-        )
+        prev_at, cur_at = join_sorted(prev.keys(), cur.keys())
         a = prev.instance[prev_at]
         b = cur.instance[cur_at]
         both = (a != 0) & (b != 0)

@@ -215,28 +215,37 @@ def backfill_skipped(
     """Copy (class, instance) from each query point's nearest included point.
 
     Nearest neighbor is exact (KD-tree over world xyz); distance ties are
-    broken by the lowest (scan_index, point_index) origin pair. The rows in
-    each query's ball (within its nearest distance, padded) are scored in one
-    flat array, and one lexsort over (query, d², scan, point) puts each
-    query's winner first in its group.
+    broken by the lowest (scan_index, point_index) origin pair. One k=2 query
+    finds each point's two nearest rows. Where the second lies beyond
+    d1 * (1 + 1e-6), far outside the padded ball below, the first wins
+    alone. Only the other queries, which may tie, score every row in their
+    ball (within d1, padded) in one flat array, and one lexsort over
+    (query, d², scan, point) puts each query's winner first in its group.
+    A one-row table reports no second row (distance inf), so no query ties.
 
     Returns (semantic, instance) arrays aligned with query_coords.
     """
     if included_coords.shape[0] == 0:
         raise ValidationError("cannot backfill from an empty volume")
     tree = cKDTree(included_coords)
-    dists, _ = tree.query(query_coords, k=1)
-    balls = tree.query_ball_point(query_coords, r=dists * (1.0 + 1e-9))
-    sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
-    if (sizes == 0).any():
-        raise InvariantError("a backfill query found no row within its nearest distance")
-    cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64, count=sizes.sum())
-    del balls  # one Python list per query: free it before the flat arrays below
-    query = np.repeat(np.arange(sizes.size), sizes)
-    diff = included_coords[cand] - query_coords[query]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    order = np.lexsort((included_origin[cand, 1], included_origin[cand, 0], d2, query))
-    best = cand[order[np.cumsum(sizes) - sizes]]
+    dists, nearest = tree.query(query_coords, k=2)
+    best = nearest[:, 0]
+    # second row not clearly farther: a tie, a near tie or a coincident pair
+    near_tie = np.flatnonzero(~(dists[:, 1] > dists[:, 0] * (1.0 + 1e-6)))
+    if near_tie.size:
+        tied_coords = query_coords[near_tie]
+        balls = tree.query_ball_point(tied_coords, r=dists[near_tie, 0] * (1.0 + 1e-9))
+        sizes = np.fromiter(map(len, balls), dtype=np.int64, count=len(balls))
+        if (sizes == 0).any():
+            raise InvariantError("a backfill query found no row within its nearest distance")
+        cand = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.int64,
+                           count=sizes.sum())
+        del balls  # one Python list per query: free it before the flat arrays below
+        query = np.repeat(np.arange(sizes.size), sizes)
+        diff = included_coords[cand] - tied_coords[query]
+        d2 = np.einsum("ij,ij->i", diff, diff)
+        order = np.lexsort((included_origin[cand, 1], included_origin[cand, 0], d2, query))
+        best[near_tie] = cand[order[np.cumsum(sizes) - sizes]]
     return included_semantic[best], included_instance[best]
 
 

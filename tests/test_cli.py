@@ -147,6 +147,25 @@ class TestSceneSpec:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", [None, "../escaped", "a/b", "", ".."])
+    def test_name_not_one_path_component_exits_one(self, name, tmp_path, capsys):
+        spec_path = tmp_path / "spec" / "scene.yaml"
+        spec_path.parent.mkdir()
+        spec_path.write_text(yaml.safe_dump({**SCENE, "n_scans": 2, "name": name}))
+        out = tmp_path / "out" / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: name") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["spec"]
+
+    def test_quoted_numeric_name_is_the_directory(self, tmp_path):
+        spec_path = tmp_path / "scene.yaml"
+        spec_path.write_text(yaml.safe_dump({**SCENE, "n_scans": 2}).replace(
+            "name: '00'", "name: \"07\""))
+        out = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["07", "classes.yaml"]
+
 
 class TestCombine:
     def test_reported_pair(self, capsys):

@@ -3,9 +3,11 @@
 Each case is a strategy × window stride × feature mode. The digests were
 recorded from the pipeline as it stood before the window tables were kept in
 (scan, point) order; a change that should not alter predictions must leave
-every one of them unchanged. The scene has ego motion, point noise, noisy
-embeddings, background points above the seeding threshold and flipped
-classes, so the labels are not the trivial oracle ones.
+every one of them unchanged. The two window-stride-3 cases, where one window
+emits two scans wholly through nearest-row backfill, were recorded before
+`backfill_skipped` took each point's two nearest rows. The scene has ego
+motion, point noise, noisy embeddings, background points above the seeding
+threshold and flipped classes, so the labels are not the trivial oracle ones.
 """
 
 import hashlib
@@ -59,6 +61,8 @@ DIGESTS = {
         "b1bea5b91445bab2b9a5edf1b20ee80402784ac9583c4ef14b8cbcbe5567c31a",
     ("importance", 4, 2, "emb+xyzt"):
         "a4885d6e993782fa80128b65ea9472716d477dff3ef601190050f1db35b57bcb",
+    ("importance", 4, 3, "emb+xyzt"):
+        "ea7fdaf6138e694342c31a85d952d23c8ffac4e420ddbd46ce56904bef4f735e",
     ("decay", 4, 1, "emb"):
         "3fda716276de6317ae0f8817de67fa3304fa27dca7f907194af6c8c91c9b9e29",
     ("decay", 4, 1, "emb+xyzt"):
@@ -75,6 +79,8 @@ DIGESTS = {
         "b1bea5b91445bab2b9a5edf1b20ee80402784ac9583c4ef14b8cbcbe5567c31a",
     ("stride", 4, 2, "emb+xyzt"):
         "cc00529407a314f24130172d98935038c382f8d892286bf21425b7e3d53facda",
+    ("stride", 4, 3, "emb+xyzt"):
+        "ea7fdaf6138e694342c31a85d952d23c8ffac4e420ddbd46ce56904bef4f735e",
 }
 
 

@@ -2,12 +2,20 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pan4d import tracking
 from pan4d.clustering import ClusterParams
 from pan4d.errors import ValidationError
 from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
-from pan4d.tracking import TrackLedger, WindowResult, associate_windows, run_online_pipeline
+from pan4d.tracking import (
+    TrackLedger,
+    WindowResult,
+    associate_windows,
+    join_sorted,
+    run_online_pipeline,
+)
 from pan4d.volume import VolumeConfig
 
 from conftest import CAR, PERSON, ROAD, MemorySequence, oracle_providers
@@ -343,6 +351,20 @@ class TestWindowRowOrder:
     def test_sorted_rows_accepted(self):
         result = window(0, [(0, 4, 1, CAR), (1, 0, 1, CAR), (1, 9, 0, ROAD)], {0, 1})
         assert result.keys().tolist() == [4, 1 << 32, (1 << 32) | 9]
+
+
+# strictly increasing int64 keys; a small value range makes shared keys common
+increasing_keys = st.lists(st.integers(-40, 40), unique=True, max_size=30).map(
+    lambda v: np.array(sorted(v), dtype=np.int64))
+
+
+class TestJoinSorted:
+    @given(increasing_keys, increasing_keys)
+    def test_matches_intersect1d(self, a, b):
+        _, want_a, want_b = np.intersect1d(a, b, assume_unique=True, return_indices=True)
+        got_a, got_b = join_sorted(a, b)
+        np.testing.assert_array_equal(got_a, want_a)
+        np.testing.assert_array_equal(got_b, want_b)
 
 
 class TestLoadScanValidation:

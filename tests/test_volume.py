@@ -424,6 +424,70 @@ class TestBackfillMatchesOracle:
                              np.array([1, 2]), np.ones((1, 3)))
 
 
+class SpyTree:
+    """cKDTree that records every query array passed to query_ball_point."""
+
+    ball_queries = []
+
+    def __init__(self, data):
+        self.tree = cKDTree(data)
+
+    def query(self, x, k):
+        return self.tree.query(x, k=k)
+
+    def query_ball_point(self, x, r):
+        self.ball_queries.append(np.array(x))
+        return self.tree.query_ball_point(x, r=r)
+
+
+@pytest.fixture
+def ball_queries(monkeypatch):
+    """The queries that backfill_skipped scores by ball, one array per call."""
+    monkeypatch.setattr(SpyTree, "ball_queries", [])
+    monkeypatch.setattr(volume, "cKDTree", SpyTree)
+    return SpyTree.ball_queries
+
+
+class TestBackfillNearestTwo:
+    """Only a query whose second-nearest row may tie its nearest one is
+    scored by ball; every other query takes its nearest row."""
+
+    check = staticmethod(TestBackfillMatchesOracle.check)
+
+    def test_near_tie_smaller_distance_beats_lower_origin(self, ball_queries):
+        # d2 / d1 - 1 = 5e-8: inside the near-tie margin, yet not a tie
+        inc = np.array([[1.0 + 5e-8, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        origin = np.array([[0, 0], [3, 9]])
+        got_sem, got_inst = backfill_skipped(inc, origin, np.array([CAR, ROAD]),
+                                             np.array([1, 2]), np.zeros((1, 3)))
+        assert got_sem.tolist() == [ROAD] and got_inst.tolist() == [2]
+        assert len(ball_queries) == 1 and ball_queries[0].shape == (1, 3)
+
+    def test_single_row_table_many_queries(self, ball_queries):
+        rng = np.random.default_rng(5)
+        query = np.vstack([rng.normal(size=(25, 3)) * 4.0, [[1.0, -2.0, 0.5]]])
+        self.check(np.array([[1.0, -2.0, 0.5]]), np.array([[4, 2]]), np.array([CAR]),
+                   np.array([7]), query)
+        assert ball_queries == []
+
+    def test_random_float_rows_need_no_ball(self, ball_queries):
+        rng = np.random.default_rng(29)
+        inc = rng.normal(size=(300, 3)) * 5.0
+        origin = np.column_stack([rng.integers(0, 4, 300), rng.permutation(300)])
+        self.check(inc, origin, rng.integers(0, 50, 300), rng.integers(0, 6, 300),
+                   rng.normal(size=(150, 3)) * 5.0)
+        assert ball_queries == []
+
+    def test_coincident_rows_score_every_query_by_ball(self, ball_queries):
+        rng = np.random.default_rng(31)
+        inc = np.zeros((4, 3))
+        origin = np.array([[3, 0], [1, 8], [1, 2], [2, 1]])
+        query = rng.normal(size=(6, 3))
+        self.check(inc, origin, np.arange(4), np.arange(4), query)
+        assert len(ball_queries) == 1
+        np.testing.assert_array_equal(ball_queries[0], query)
+
+
 class TestVolumeRowOrder:
     @pytest.mark.parametrize("strategy,tau,max_points", [
         ("base", 1, None), ("thing", 4, None), ("thing", 4, 900), ("importance", 4, None),
