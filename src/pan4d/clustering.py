@@ -8,14 +8,17 @@ class is settled by majority vote.
 
 A point can pass a seed's assignment test only inside a Euclidean ball around
 the seed (see `cluster_volume`), so each seed scores just the unassigned
-points a KD-tree finds in that ball. `reference_cluster_volume` keeps the
-loop that scores every unassigned point for every seed; only tests call it.
+points a KD-tree finds in that ball. Seeds are settled in blocks of
+SEED_BLOCK candidates of the objectness order, with one ball query and one
+affinity pass per block. `reference_cluster_volume` keeps the loop that
+scores every unassigned point for every seed; only tests call it.
 """
 
 from __future__ import annotations
 
+import itertools
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +29,8 @@ FEATURE_MODES = ("xyz", "xyzt", "emb", "emb+xyz", "emb+xyzt")
 
 SIDECAR_MAGIC = b"P4DE"
 SIDECAR_VERSION = 1
+
+SEED_BLOCK = 128  # candidates per block of cluster_volume's seed order
 
 
 def check_fields(embeddings, variances, objectness, name="embedding"):
@@ -55,14 +60,20 @@ def check_fields(embeddings, variances, objectness, name="embedding"):
 
 @dataclass
 class ClusterFields:
-    """Per-point embedding, variance, and objectness maps for one volume."""
+    """Per-point embedding, variance, and objectness maps for one volume.
+
+    Construction runs `check_fields`, unless the caller passes `checked=True`
+    for values it has already checked.
+    """
 
     embeddings: np.ndarray | None  # (M, D_e) or None for coordinate-only modes
     variances: np.ndarray | None  # (M, D_e), strictly positive
     objectness: np.ndarray  # (M,) in [0, 1]
+    checked: InitVar[bool] = False
 
-    def __post_init__(self):
-        check_fields(self.embeddings, self.variances, self.objectness)
+    def __post_init__(self, checked):
+        if not checked:
+            check_fields(self.embeddings, self.variances, self.objectness)
 
     def __len__(self):
         return self.objectness.shape[0]
@@ -194,6 +205,37 @@ def _prune(m, seeds, members, min_points) -> InstanceAssignment:
     return InstanceAssignment(instance_ids=final_ids, seeds=kept_seeds, members=kept_members)
 
 
+def _block_seeds(features, variances, cand, radius, params) -> np.ndarray:
+    """Which of a block's unassigned candidates (in seed order) become seeds.
+
+    Candidate j is taken by an earlier candidate i when it passes i's
+    assignment test, which it can only do within i's member radius; `radius`
+    is the largest of the block, so one KD-tree over the block finds every
+    such pair. j becomes a seed exactly when no earlier seed takes it. Each
+    round settles every candidate whose earlier takers are all settled, so
+    the first open candidate settles in every round.
+    """
+    pts = features[cand]
+    pairs = cKDTree(pts).query_pairs(radius, output_type="ndarray")  # rows (i, j), i < j
+    src, dst = pairs[:, 0], pairs[:, 1]
+    p = gaussian_affinity(pts[src], pts[dst], variances[cand[src]],
+                          normalized=params.normalized_pdf)
+    takes = p > params.assign_prob
+    src, dst = src[takes], dst[takes]
+    state = np.zeros(cand.size, dtype=np.int8)  # 0 open, 1 seed, 2 taken
+    while (state == 0).any():
+        taken = np.zeros(cand.size, dtype=bool)
+        taken[dst[state[src] == 1]] = True
+        waiting = np.zeros(cand.size, dtype=bool)
+        waiting[dst[state[src] == 0]] = True
+        open_ = state == 0
+        state[open_ & taken] = 2
+        state[open_ & ~taken & ~waiting] = 1
+        open_dst = state[dst] == 0
+        src, dst = src[open_dst], dst[open_dst]
+    return state == 1
+
+
 def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.ndarray,
                    params: ClusterParams) -> InstanceAssignment:
     """Greedy seed selection and Gaussian assignment.
@@ -204,45 +246,64 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
     seed_stop. Instances smaller than min_points are then dissolved back to
     unassigned.
 
-    Seeds are visited in one stable descending sort of objectness, skipping
-    points already assigned. With the density constant dropped, affinity > p
-    holds exactly when the Mahalanobis distance^2 is below -2 ln p, so every
-    member lies within sqrt(-2 ln p * max_d var_seed,d) of the seed (with
-    `normalized_pdf`, p becomes p * (2 pi)^(D/2) * sqrt(prod var_seed)). A
-    KD-tree over the features returns the points in that ball, padded against
-    rounding; the unassigned ones are scored with `gaussian_affinity`. The
+    Seeds are visited in one stable descending sort of objectness, cut at
+    seed_stop. With the density constant dropped, affinity > p holds exactly
+    when the Mahalanobis distance^2 is below -2 ln p, so every member lies
+    within sqrt(-2 ln p * max_d var_seed,d) of the seed (with
+    `normalized_pdf`, p becomes p * (2 pi)^(D/2) * sqrt(prod var_seed)); the
+    ball is padded against rounding.
+
+    The order is taken in blocks of SEED_BLOCK candidates. A block drops the
+    candidates earlier blocks assigned; of the rest, a candidate becomes a
+    seed exactly when no earlier seed of the block takes it (`_block_seeds`).
+    One KD-tree query over the volume returns the balls of the block's seeds,
+    their still-unassigned points are scored in one `gaussian_affinity` call,
+    and each point joins the earliest seed of the block that takes it; every
+    seed joins its own cluster. That is the sequential greedy rule, so the
     result equals `reference_cluster_volume`, which scores every unassigned
-    point for every seed.
+    point for every seed. The Python cost is per block, not per seed.
 
     Raises:
         ValidationError: bad params, or inputs that break `check_fields`.
     """
     _check_volume(features, variances, objectness, params)
     m = features.shape[0]
-    ids = np.zeros(m, dtype=np.int64)
+    assigned = np.zeros(m, dtype=bool)
     seeds, members = [], []
     obj = np.asarray(objectness, dtype=np.float64)
     order = np.argsort(-obj, kind="stable")[: np.count_nonzero(obj >= params.seed_stop)]
-    radii = _member_radii(variances[order], params)
     # the sliding-midpoint tree builds in about half the time of the default
     # one; every tree returns the same ball
     tree = cKDTree(features, balanced_tree=False, compact_nodes=False) if order.size else None
-    for seed, radius in zip(order.tolist(), radii.tolist()):
-        if ids[seed]:
+    for start in range(0, order.size, SEED_BLOCK):
+        cand = order[start:start + SEED_BLOCK]
+        cand = cand[~assigned[cand]]
+        if not cand.size:
             continue
-        hits = np.array(tree.query_ball_point(features[seed], radius, return_sorted=True),
-                        dtype=np.intp)
-        cand = hits[ids[hits] == 0]
-        p = gaussian_affinity(
-            features[seed], features[cand], variances[seed],
-            normalized=params.normalized_pdf,
-        )
-        take = cand[p > params.assign_prob]
-        if seed not in take:  # the seed itself always joins its cluster
-            take = np.append(take, seed)
-        ids[take] = len(seeds) + 1
-        seeds.append(seed)
-        members.append(np.sort(take))
+        cand_radii = _member_radii(variances[cand], params)
+        is_seed = _block_seeds(features, variances, cand, cand_radii.max(), params)
+        block_seeds = cand[is_seed]
+        balls = tree.query_ball_point(features[block_seeds], cand_radii[is_seed],
+                                      return_sorted=True)
+        sizes = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        rows = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
+                           count=sizes.sum())
+        rank = np.repeat(np.arange(len(balls)), sizes)  # the seed of each ball row
+        free = ~assigned[rows]
+        rank, rows = rank[free], rows[free]
+        owner = block_seeds[rank]
+        p = gaussian_affinity(features[owner], features[rows], variances[owner],
+                              normalized=params.normalized_pdf)
+        take = (p > params.assign_prob) | (rows == owner)  # a seed always joins its cluster
+        rank, rows = rank[take], rows[take]
+        # the pairs are in (seed, point) order, so a point's first pair is its
+        # earliest seed that takes it
+        first = np.sort(np.unique(rows, return_index=True)[1])
+        rank, rows = rank[first], rows[first]
+        assigned[rows] = True
+        seeds.extend(block_seeds.tolist())
+        ends = np.cumsum(np.bincount(rank, minlength=block_seeds.size)).tolist()
+        members.extend(rows[a:b] for a, b in zip([0] + ends, ends))
     return _prune(m, seeds, members, params.min_points)
 
 

@@ -24,6 +24,10 @@ from .errors import FormatError, ValidationError
 POINT_RECORD_BYTES = 16  # 4 x float32
 LABEL_RECORD_BYTES = 4  # 1 x uint32
 LABEL_FIELD_MAX = 0xFFFF  # semantic class and instance id each fill 16 bits of a label
+# Pose.transform multiplies at most this many rows at once: OpenBLAS runs
+# products this small on one thread, whose time does not swing with how long
+# its worker threads have been idle
+TRANSFORM_BLOCK_ROWS = 8192
 
 DEFAULT_IGNORE_CLASSES = frozenset({0})
 
@@ -94,9 +98,16 @@ class Pose:
         return cls(matrix=np.eye(4), frame=frame)
 
     def transform(self, points: np.ndarray) -> np.ndarray:
-        """Apply the pose to an (N, 3) array of points."""
+        """Apply the pose to an (N, 3) array of points.
+
+        The rows go through in blocks of at most TRANSFORM_BLOCK_ROWS, all of
+        about equal size: a short remainder block could round differently from
+        one `pts @ R.T + t` over all rows, which the result matches bit for bit.
+        """
         pts = np.asarray(points, dtype=np.float64)
-        return pts @ self.matrix[:3, :3].T + self.matrix[:3, 3]
+        r, t = self.matrix[:3, :3].T, self.matrix[:3, 3]
+        n_blocks = max(1, -(-pts.shape[0] // TRANSFORM_BLOCK_ROWS))
+        return np.concatenate([block @ r + t for block in np.array_split(pts, n_blocks)])
 
     def inverse(self) -> "Pose":
         r = self.matrix[:3, :3]

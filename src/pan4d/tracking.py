@@ -226,8 +226,9 @@ def run_online_pipeline(
         peak_points = max(peak_points, len(volume))
 
         v_emb, v_var, v_obj, sem = _fields_for_volume(volume, cache)
+        # rows of scans checked at load; cluster_volume checks the volume's inputs
         feats, variances = build_point_features(
-            volume.coords, ClusterFields(v_emb, v_var, v_obj), cluster_params
+            volume.coords, ClusterFields(v_emb, v_var, v_obj, checked=True), cluster_params
         )
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
         assignment = majority_vote_classes(assignment, sem, stuff_classes)

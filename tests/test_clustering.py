@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pan4d import clustering
 from pan4d.clustering import (
     ClusterFields,
     ClusterParams,
@@ -326,6 +327,55 @@ class TestMatchesReference:
         np.testing.assert_array_equal(fast.instance_ids, [1, 1, 2])
         np.testing.assert_array_equal(slow.instance_ids, [1, 1, 2])
         assert fast.seeds == slow.seeds == [0, 2]
+
+
+@st.composite
+def clustered_volumes(draw):
+    """(features, variances, objectness, params): up to ~400 points in blobs.
+
+    Blobs about as wide as a member ball put chains of candidates that take
+    each other, or only some of each other, into one seed block.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 4))
+    sizes = rng.integers(1, draw(st.sampled_from([2, 30, 60])), size=draw(st.integers(1, 7)))
+    centers = rng.normal(scale=draw(st.sampled_from([0.5, 2.0, 8.0])), size=(sizes.size, d))
+    feats = np.repeat(centers, sizes, axis=0)
+    feats = feats + rng.normal(scale=draw(st.sampled_from([0.2, 0.6, 1.5])), size=feats.shape)
+    feats = np.round(feats, draw(st.integers(0, 2)))
+    # 1 / (2 pi) keeps the normalized density constant near 1
+    var_scale = draw(st.sampled_from([1 / (2 * np.pi), 0.3, 1.0]))
+    if draw(st.booleans()):
+        variances = np.full(feats.shape, var_scale)
+    else:
+        variances = var_scale * rng.uniform(0.3, 3.0, size=feats.shape)
+    obj = np.round(rng.uniform(size=feats.shape[0]), draw(st.integers(1, 2)))
+    params = ClusterParams(
+        assign_prob=draw(st.one_of(st.floats(0.01, 0.99), st.sampled_from([1e-3, 0.05, 0.5]))),
+        seed_stop=draw(st.floats(0.0, 0.5)),
+        min_points=draw(st.integers(1, 5)),
+    )
+    return feats, variances, obj, params
+
+
+class TestMatchesReferenceAcrossBlocks:
+    @pytest.mark.parametrize("normalized_pdf", [False, True])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, None])  # None: the module's SEED_BLOCK
+    @settings(max_examples=40)
+    @given(volume=clustered_volumes())
+    def test_same_seeds_members_and_ids(self, block, normalized_pdf, volume):
+        feats, variances, obj, params = volume
+        params.normalized_pdf = normalized_pdf
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(clustering, "SEED_BLOCK", block)
+            fast = cluster_volume(feats, variances, obj, params)
+        slow = reference_cluster_volume(feats, variances, obj, params)
+        assert fast.seeds == slow.seeds
+        assert len(fast.members) == len(slow.members)
+        for a, b in zip(fast.members, slow.members):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
 
 
 class TestClusterInputValues:

@@ -176,6 +176,16 @@ class TestPoses:
         with pytest.raises(ValidationError, match="orthonormal"):
             Pose(matrix=m)
 
+    @pytest.mark.parametrize("n", [1, 2, 8191, 8192, 8193, 16385, 120000])
+    def test_blocked_transform_matches_one_product(self, n):
+        # row blocks of equal size: no short remainder block that BLAS rounds differently
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            m = random_rigid(rng, max_translation=50.0)
+            pts = rng.normal(scale=30.0, size=(n, 3))
+            out = Pose(matrix=m).transform(pts)
+            np.testing.assert_array_equal(out, pts @ m[:3, :3].T + m[:3, 3])
+
 
 class TestSequenceHandle:
     def _make_sequence(self, root, n_scans=3, n_points=5):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pan4d import tracking
+from pan4d import clustering, tracking
 from pan4d.clustering import ClusterParams
 from pan4d.errors import ValidationError
 from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
@@ -393,6 +393,22 @@ class TestLoadScanValidation:
 
         with pytest.raises(ValidationError, match="scan 1: non-finite embedding"):
             self.run(bad_fields, semantics_fn, data, window_stride)
+
+    def test_fields_checked_once_per_scan_and_once_per_volume(self, monkeypatch):
+        calls = []
+
+        def counting_check(embeddings, *args, **kwargs):
+            if embeddings is not None:  # PastScanState checks objectness alone
+                calls.append(embeddings.shape[0])
+            return check(embeddings, *args, **kwargs)
+
+        check = clustering.check_fields
+        monkeypatch.setattr(clustering, "check_fields", counting_check)
+        monkeypatch.setattr(tracking, "check_fields", counting_check)
+        data = generate_sequence(single_object_scene(n_scans=4))
+        self.run(*oracle_providers(data), data)
+        # 4 scan loads, then one cluster_volume check for each of the 4 windows
+        assert len(calls) == 8
 
     @pytest.mark.parametrize("rows", ["double", 10])
     def test_variance_shape_mismatch(self, rows):
