@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import struct
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -60,20 +60,15 @@ def check_fields(embeddings, variances, objectness, name="embedding"):
 
 @dataclass
 class ClusterFields:
-    """Per-point embedding, variance, and objectness maps for one volume.
-
-    Construction runs `check_fields`, unless the caller passes `checked=True`
-    for values it has already checked.
-    """
+    """Per-point embedding, variance, and objectness maps; construction runs
+    `check_fields`."""
 
     embeddings: np.ndarray | None  # (M, D_e) or None for coordinate-only modes
     variances: np.ndarray | None  # (M, D_e), strictly positive
     objectness: np.ndarray  # (M,) in [0, 1]
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked):
-        if not checked:
-            check_fields(self.embeddings, self.variances, self.objectness)
+    def __post_init__(self):
+        check_fields(self.embeddings, self.variances, self.objectness)
 
     def __len__(self):
         return self.objectness.shape[0]
@@ -121,11 +116,13 @@ class InstanceAssignment:
         return len(self.members)
 
 
-def build_point_features(volume_coords: np.ndarray, fields: ClusterFields, params: ClusterParams):
+def build_point_features(volume_coords: np.ndarray, embeddings, variances,
+                         params: ClusterParams):
     """Assemble the (features, variances) matrices for the chosen feature mode.
 
     Coordinate dimensions use the configured default variances; embedding
-    dimensions take the per-point variance map from `fields`.
+    dimensions take the per-point variance map `variances`. Coordinate-only
+    modes ignore the embeddings and variances, which may be None.
     """
     mode = params.feature_mode
     m = volume_coords.shape[0]
@@ -134,20 +131,18 @@ def build_point_features(volume_coords: np.ndarray, fields: ClusterFields, param
     )
     if mode in ("xyz", "xyzt"):
         d = 3 if mode == "xyz" else 4
-        feats = np.asarray(volume_coords[:, :d], dtype=np.float64)
-        variances = np.broadcast_to(coord_var4[:d], (m, d)).copy()
-        return feats, variances
+        return (np.asarray(volume_coords[:, :d], dtype=np.float64),
+                np.broadcast_to(coord_var4[:d], (m, d)).copy())
 
-    if fields.embeddings is None or fields.variances is None:
+    if embeddings is None or variances is None:
         raise ValidationError(f"feature_mode {mode!r} requires embeddings and variances")
-    emb = np.asarray(fields.embeddings, dtype=np.float64)
-    var = np.asarray(fields.variances, dtype=np.float64)
+    emb = np.asarray(embeddings, dtype=np.float64)
+    var = np.asarray(variances, dtype=np.float64)
     if mode == "emb":
         return emb, var
     d = 3 if mode == "emb+xyz" else 4
-    feats = np.hstack([emb, volume_coords[:, :d]])
-    variances = np.hstack([var, np.broadcast_to(coord_var4[:d], (m, d))])
-    return feats, variances
+    return (np.hstack([emb, volume_coords[:, :d]]),
+            np.hstack([var, np.broadcast_to(coord_var4[:d], (m, d))]))
 
 
 def gaussian_affinity(e_i, e_j, var_i, normalized: bool = False):

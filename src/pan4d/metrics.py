@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ValidationError
+from .kitti_io import LABEL_FIELD_MAX
 
 _SHIFT = 32  # (a << _SHIFT) | b packs two ids in [0, 2**31) into one int64
 _MASK = (1 << _SHIFT) - 1
@@ -99,7 +100,7 @@ def greedy_match(sizes_a, sizes_b, overlaps, threshold):
 
 
 def _count_matches(stat, matches, n_gt, n_pred):
-    """Add one class's matched segments to its tp/fp/fn/iou_sum counts."""
+    """Add one group's matched segments to its class's tp/fp/fn/iou_sum counts."""
     for iou, _, _ in matches:
         stat["tp"] += 1
         stat["iou_sum"] += iou
@@ -107,24 +108,45 @@ def _count_matches(stat, matches, n_gt, n_pred):
     stat["fn"] += n_gt - len(matches)
 
 
-def _match_stuff(stat, n_gt, n_pred, n_overlap, threshold):
-    """A stuff class is one segment per frame on each side; match or miss it."""
-    if n_gt == 0 and n_pred == 0:
-        return
-    iou = n_overlap / (n_gt + n_pred - n_overlap)
-    if iou > threshold:
-        stat["tp"] += 1
-        stat["iou_sum"] += iou
-        return
-    if n_pred:
-        stat["fp"] += 1
-    if n_gt:
-        stat["fn"] += 1
-
-
 def _new_segment_stats(classes):
     return {c: {"tp": 0, "fp": 0, "fn": 0, "iou_sum": 0.0, "ids": 0, "switch_iou": 0.0}
             for c in classes}
+
+
+def _match_segments(seg, table, config):
+    """Match the segments a count table holds, and add them to seg.
+
+    table maps (seq, gt id, pred id, gt class, pred class) to points. A thing
+    class has one segment per (seq, id) on each side, and points with id 0
+    are in none; a stuff class has one segment per (seq, class). The thing
+    segments of a class are matched together, and a stuff segment only with
+    its counterpart, sequence by sequence in sorted order. Returns the
+    accepted thing matches as (class, iou, (seq, gt id), (seq, pred id)).
+    """
+    things, stuff = config.things, config.stuff
+
+    def segment(s, inst, cls):  # (group, segment id), or None
+        if cls in things:
+            return ((cls,), (s, inst)) if inst else None
+        return ((cls, s), s) if cls in stuff else None
+
+    groups = defaultdict(lambda: (defaultdict(int), defaultdict(int), defaultdict(int)))
+    for (s, g, p, gc, pc), n in table.items():
+        a, b = segment(s, g, gc), segment(s, p, pc)
+        if a:
+            groups[a[0]][0][a[1]] += n
+        if b:
+            groups[b[0]][1][b[1]] += n
+        if a and b and a[0] == b[0]:
+            groups[a[0]][2][(a[1], b[1])] += n
+    matches = []
+    for group in sorted(groups):
+        c, (gt_sizes, pred_sizes, overlaps) = group[0], groups[group]
+        found = greedy_match(gt_sizes, pred_sizes, overlaps, config.pq_match_threshold)
+        _count_matches(seg[c], found, len(gt_sizes), len(pred_sizes))
+        if c in things:
+            matches += [(c, *m) for m in found]
+    return matches
 
 
 def _mean(values):
@@ -134,37 +156,31 @@ def _mean(values):
 class PanopticEvaluator:
     """Streaming accumulator; feed scans in temporal order per sequence.
 
-    result() reads the counts without changing them, so it may be called at
-    any point and any number of times.
+    Its state is one count table plus, with pq_per_scan, the segment stats
+    matched scan by scan (`seg`, and `_last_match`: each gt track's last pred
+    id, for id switches). The table maps (seq, gt id, pred id, gt class, pred
+    class) to the number of points with those labels whose gt class is not
+    ignored. `add_scan` fills it from one `np.isin` (the ignore mask) and one
+    `np.unique` over the four fields packed 16 bits each into a uint64, so
+    classes and ids must lie in [0, LABEL_FIELD_MAX], the `.label` range.
+    Class IoUs, tubes and segments are all sums over its rows. result() reads
+    the counts without changing them, so it may be called at any point and
+    any number of times.
     """
 
     def __init__(self, config: EvalConfig, pq_per_scan: bool = True):
         self.config = config
         self.pq_per_scan = pq_per_scan
-        self._things = np.array(sorted(config.things), dtype=np.int64)
         self._ignore = np.array(sorted(config.ignore), dtype=np.int64)
-        # semantic confusion: (seq, gt class, pred class) -> point count
-        self.confusion = defaultdict(int)
-        # association tubes
-        self.gt_tube_sizes = defaultdict(int)  # (seq, id) -> points
-        self.pr_tube_sizes = defaultdict(int)
-        self.tube_overlaps = defaultdict(int)  # (seq, gid, pid) -> points
-        # per-class segment stats, matched scan by scan (pq_per_scan)
+        self.table = Counter()  # (seq, gt id, pred id, gt class, pred class) -> points
         self.seg = _new_segment_stats(config.classes)
         self._last_match = {}  # (seq, class, gt id) -> pred id
-        # whole-sequence segments (not pq_per_scan), matched in result():
-        # thing class -> ({(seq, id): points} gt, same pred, {(gt, pred): points})
-        self._tubes4d = {
-            c: (defaultdict(int), defaultdict(int), defaultdict(int)) for c in config.things
-        }
-        self._stuff4d = defaultdict(lambda: [0, 0, 0])  # (seq, class) -> [gt, pred, overlap]
 
     @property
     def warnings(self):
         """Conditions the report should mention, derived from the counts."""
-        if not self.gt_tube_sizes:
-            return ["no ground-truth tubes; association score defined as 1.0"]
-        return []
+        no_tubes = "no ground-truth tubes; association score defined as 1.0"
+        return [] if self._tubes()[0] else [no_tubes]
 
     # -- accumulation ------------------------------------------------------
 
@@ -175,75 +191,50 @@ class PanopticEvaluator:
             raise ValidationError(
                 f"gt stream has {gt_sem.shape[0]} points, pred {pr_sem.shape[0]}"
             )
-        valid = ~np.isin(gt_sem, self._ignore)
-        gs, ps = gt_sem[valid], pr_sem[valid]
-        gi, pi = gt_inst[valid], pr_inst[valid]
-
-        for (g, p), n in _pair_counts(gs, ps).items():
-            self.confusion[(seq, g, p)] += n
-
-        g_tube = np.isin(gs, self._things) & (gi != 0)
-        p_tube = np.isin(ps, self._things) & (pi != 0)
-        for uid, n in _counts(gi[g_tube]).items():
-            self.gt_tube_sizes[(seq, uid)] += n
-        for uid, n in _counts(pi[p_tube]).items():
-            self.pr_tube_sizes[(seq, uid)] += n
-        both = g_tube & p_tube
-        for (g, p), n in _pair_counts(gi[both], pi[both]).items():
-            self.tube_overlaps[(seq, g, p)] += n
-
-        thr = self.config.pq_match_threshold
-        for c in self.config.things:
-            g_mask = (gs == c) & (gi != 0)
-            p_mask = (ps == c) & (pi != 0)
-            inter = g_mask & p_mask
-            sizes = (_counts(gi[g_mask]), _counts(pi[p_mask]), _pair_counts(gi[inter], pi[inter]))
-            if not self.pq_per_scan:
-                for acc, counts in zip(self._tubes4d[c], sizes):
-                    for key, n in counts.items():
-                        acc[(seq, key)] += n
-                continue
-            stat = self.seg[c]
-            matches = greedy_match(*sizes, thr)
-            _count_matches(stat, matches, len(sizes[0]), len(sizes[1]))
-            for iou, g, p in matches:
-                track = (seq, c, g)
-                last = self._last_match.get(track)
-                if last is not None and last != p:
-                    stat["ids"] += 1
-                    stat["switch_iou"] += iou
-                self._last_match[track] = p
-
-        for c in self.config.stuff:
-            g_mask, p_mask = gs == c, ps == c
-            counts = (int(g_mask.sum()), int(p_mask.sum()), int((g_mask & p_mask).sum()))
-            if self.pq_per_scan:
-                _match_stuff(self.seg[c], *counts, thr)
-            else:
-                acc = self._stuff4d[(seq, c)]
-                for k, n in enumerate(counts):
-                    acc[k] += n
-
-    def _segments_4d(self):
-        """Segment stats over whole-sequence frames: one tube per (seq, id) and
-        one stuff segment per (seq, class)."""
-        thr = self.config.pq_match_threshold
-        seg = _new_segment_stats(self.config.classes)
-        for c, (gt_sizes, pred_sizes, overlaps) in self._tubes4d.items():
-            pairs = {((seq, g), (seq, p)): n for (seq, (g, p)), n in overlaps.items()}
-            matches = greedy_match(gt_sizes, pred_sizes, pairs, thr)
-            _count_matches(seg[c], matches, len(gt_sizes), len(pred_sizes))
-        for (_, c), counts in sorted(self._stuff4d.items()):
-            _match_stuff(seg[c], *counts, thr)
-        return seg
+        labels = (gt_inst, pr_inst, gt_sem, pr_sem)  # key fields, most significant first
+        if any(a.size and (a.min() < 0 or a.max() > LABEL_FIELD_MAX) for a in labels):
+            raise ValidationError(f"class and instance ids must lie in [0, {LABEL_FIELD_MAX}]")
+        g, p, gc, pc = (a.view(np.uint64) for a in labels)
+        key = (g << 48 | p << 32 | gc << 16 | pc)[~np.isin(gt_sem, self._ignore)]
+        keys, counts = np.unique(key, return_counts=True)
+        fields = [(keys >> shift & LABEL_FIELD_MAX).tolist() for shift in (48, 32, 16, 0)]
+        scan = {(seq, *key): n for *key, n in zip(*fields, counts.tolist())}
+        self.table.update(scan)
+        if not self.pq_per_scan:
+            return
+        for c, iou, (_, g), (_, p) in _match_segments(self.seg, scan, self.config):
+            track = (seq, c, g)
+            last = self._last_match.get(track)
+            if last is not None and last != p:
+                self.seg[c]["ids"] += 1
+                self.seg[c]["switch_iou"] += iou
+            self._last_match[track] = p
 
     # -- results -----------------------------------------------------------
+
+    def _tubes(self, seq=None):
+        """Thing tubes of all sequences, or of sequence seq: gt and pred tube
+        sizes {(seq, id): points} and overlaps {(seq, gt id, pred id): points},
+        each in the order the table first counted it."""
+        things = self.config.things
+        gt, pred, overlaps = defaultdict(int), defaultdict(int), defaultdict(int)
+        for (s, g, p, gc, pc), n in self.table.items():
+            if seq is not None and s != seq:
+                continue
+            g_tube, p_tube = g != 0 and gc in things, p != 0 and pc in things
+            if g_tube:
+                gt[(s, g)] += n
+            if p_tube:
+                pred[(s, p)] += n
+            if g_tube and p_tube:
+                overlaps[(s, g, p)] += n
+        return gt, pred, overlaps
 
     def semantic_iou(self, seq=None):
         """Per-class IoU from the point-level confusion counts, pooled over
         all sequences or of sequence seq."""
         tp, fp, fn = defaultdict(int), defaultdict(int), defaultdict(int)
-        for (s, g, p), n in self.confusion.items():
+        for (s, _, _, g, p), n in self.table.items():
             if seq is not None and s != seq:
                 continue
             if g == p:
@@ -260,27 +251,28 @@ class PanopticEvaluator:
     def association_score(self, seq=None):
         """TPA-weighted tube IoU, averaged over ground-truth tubes (all, or
         those of sequence seq); 1.0 when there are none."""
-        inner = defaultdict(float)
-        for (s, g, p), tpa in self.tube_overlaps.items():
-            if seq is None or s == seq:
-                gt_size = self.gt_tube_sizes[(s, g)]
-                pr_size = self.pr_tube_sizes[(s, p)]
-                inner[(s, g)] += tpa * (tpa / (gt_size + pr_size - tpa))
-        tubes = [(k, n) for k, n in self.gt_tube_sizes.items() if seq is None or k[0] == seq]
-        if not tubes:
+        gt, pred, overlaps = self._tubes(seq)
+        if not gt:
             return 1.0
+        inner = defaultdict(float)
+        for (s, g, p), tpa in overlaps.items():
+            inner[(s, g)] += tpa * (tpa / (gt[(s, g)] + pred[(s, p)] - tpa))
         total = 0.0
-        for key, gt_size in tubes:
+        for key, gt_size in gt.items():
             total += inner.get(key, 0.0) / gt_size
-        return total / len(tubes)
+        return total / len(gt)
 
     def result(self) -> "MetricReport":
-        seg = self.seg if self.pq_per_scan else self._segments_4d()
+        seg = self.seg
+        if not self.pq_per_scan:  # one segment per tube of a whole sequence
+            seg = _new_segment_stats(self.config.classes)
+            _match_segments(seg, self.table, self.config)
         iou_per_class = self.semantic_iou()
         s_cls = _mean(list(iou_per_class.values()))
         things_iou = [v for c, v in iou_per_class.items() if c in self.config.things]
         stuff_iou = [v for c, v in iou_per_class.items() if c in self.config.stuff]
         s_assoc = self.association_score()
+        tubes = self._tubes()
 
         pq_per_class, mots_per_class = {}, {}
         for c in self.config.classes:
@@ -331,8 +323,8 @@ class PanopticEvaluator:
             smotsa_mean=_mean([v["smotsa"] for v in mots_per_class.values()]),
             ptq_mean=_mean([v["ptq"] for v in pq_per_class.values() if "ptq" in v]),
             sptq_mean=_mean([v["sptq"] for v in pq_per_class.values() if "sptq" in v]),
-            n_gt_tubes=len(self.gt_tube_sizes),
-            n_pred_tubes=len(self.pr_tube_sizes),
+            n_gt_tubes=len(tubes[0]),
+            n_pred_tubes=len(tubes[1]),
             warnings=self.warnings,
         )
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import (
-    ClusterFields,
     ClusterParams,
     build_point_features,
     check_fields,
@@ -227,9 +226,7 @@ def run_online_pipeline(
 
         v_emb, v_var, v_obj, sem = _fields_for_volume(volume, cache)
         # rows of scans checked at load; cluster_volume checks the volume's inputs
-        feats, variances = build_point_features(
-            volume.coords, ClusterFields(v_emb, v_var, v_obj, checked=True), cluster_params
-        )
+        feats, variances = build_point_features(volume.coords, v_emb, v_var, cluster_params)
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
         assignment = majority_vote_classes(assignment, sem, stuff_classes)
         for cls, mem in zip(assignment.classes, assignment.members):

@@ -30,7 +30,7 @@ class TestFeatures:
         coords = np.array([[1.0, 2.0, 3.0, 2.0]])
         fields = ClusterFields(embeddings=None, variances=None, objectness=np.ones(1))
         feats, variances = build_point_features(
-            coords, fields, ClusterParams(feature_mode="xyzt")
+            coords, fields.embeddings, fields.variances, ClusterParams(feature_mode="xyzt")
         )
         np.testing.assert_array_equal(feats, [[1.0, 2.0, 3.0, 2.0]])
         assert variances.shape == (1, 4)
@@ -40,7 +40,8 @@ class TestFeatures:
         fields = ClusterFields(embeddings=emb, variances=np.ones((2, 3)),
                                objectness=np.ones(2))
         feats, variances = build_point_features(
-            np.zeros((2, 4)), fields, ClusterParams(feature_mode="emb")
+            np.zeros((2, 4)), fields.embeddings, fields.variances,
+            ClusterParams(feature_mode="emb"),
         )
         np.testing.assert_array_equal(feats, emb)
         np.testing.assert_array_equal(variances, np.ones((2, 3)))
@@ -50,7 +51,8 @@ class TestFeatures:
         fields = ClusterFields(embeddings=emb, variances=np.ones((5, 7)),
                                objectness=np.ones(5))
         feats, variances = build_point_features(
-            np.zeros((5, 4)), fields, ClusterParams(feature_mode="emb+xyzt")
+            np.zeros((5, 4)), fields.embeddings, fields.variances,
+            ClusterParams(feature_mode="emb+xyzt"),
         )
         assert feats.shape == (5, 11)
         assert variances.shape == (5, 11)
@@ -58,13 +60,14 @@ class TestFeatures:
     def test_emb_mode_without_embeddings_rejected(self):
         fields = ClusterFields(embeddings=None, variances=None, objectness=np.ones(3))
         with pytest.raises(ValidationError):
-            build_point_features(np.zeros((3, 4)), fields,
+            build_point_features(np.zeros((3, 4)), fields.embeddings, fields.variances,
                                  ClusterParams(feature_mode="emb"))
 
     def test_coordinate_variance_defaults(self):
         params = ClusterParams(feature_mode="xyzt", coord_variance=2.0, time_variance=9.0)
         fields = ClusterFields(embeddings=None, variances=None, objectness=np.ones(1))
-        _, variances = build_point_features(np.zeros((1, 4)), fields, params)
+        _, variances = build_point_features(np.zeros((1, 4)), fields.embeddings,
+                                            fields.variances, params)
         np.testing.assert_array_equal(variances, [[2.0, 2.0, 2.0, 9.0]])
 
 
@@ -251,13 +254,15 @@ class TestClusterVolume:
                                coord_variance=0.5, time_variance=0.5)
         fields = ClusterFields(embeddings=None, variances=None, objectness=obj)
 
-        feats, variances = build_point_features(coords, fields, params)
+        feats, variances = build_point_features(coords, fields.embeddings, fields.variances,
+                                                params)
         base = cluster_volume(feats, variances, obj, params)
 
         m = random_rigid(rng)
         moved = coords.copy()
         moved[:, :3] = coords[:, :3] @ m[:3, :3].T + m[:3, 3]
-        feats2, variances2 = build_point_features(moved, fields, params)
+        feats2, variances2 = build_point_features(moved, fields.embeddings, fields.variances,
+                                                  params)
         out = cluster_volume(feats2, variances2, obj, params)
 
         np.testing.assert_array_equal(base.instance_ids, out.instance_ids)

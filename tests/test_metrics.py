@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pan4d.errors import ValidationError
+from pan4d.kitti_io import LABEL_FIELD_MAX
 from pan4d.metrics import (
     EvalConfig,
     PanopticEvaluator,
@@ -134,6 +137,35 @@ class TestBruteForceEquivalence:
             fast = s_assoc(gt, pred, eval_config)
             slow = brute_force_s_assoc(gt, pred, eval_config)
             assert fast == pytest.approx(slow, abs=1e-12), f"trial {trial}"
+
+
+# one point: (gt class, gt id, pred class, pred id), with the ignored class 0
+_point = st.tuples(*[st.sampled_from([0, CAR, PERSON, ROAD]), st.integers(0, 5)] * 2)
+_sequence = st.lists(st.lists(_point, min_size=1, max_size=25), min_size=1, max_size=4)
+
+
+class TestMultiSequenceAssociation:
+    @settings(max_examples=150)
+    @given(st.lists(_sequence, min_size=1, max_size=3))
+    def test_pooled_s_assoc_equals_oracle_on_concatenated_stream(self, sequences):
+        # sequence k's nonzero ids move up by k * 30000 in the concatenated
+        # stream, so its tubes stay apart there as they do in evaluate; the
+        # last sequence's ids reach the top half of the 16-bit label field
+        config = EvalConfig(classes=(CAR, PERSON, ROAD), things=frozenset({CAR, PERSON}))
+        gt, pred, joined_gt, joined_pred = {}, {}, [], []
+        for k, scans in enumerate(sequences):
+            seq = f"s{k}"
+            gt[seq], pred[seq] = [], []
+            for scan in scans:
+                gs, gi, ps, pi = (np.array(col, dtype=np.int64) for col in zip(*scan))
+                gt[seq].append((gs, gi))
+                pred[seq].append((ps, pi))
+                offset = k * 30000
+                joined_gt.append((gs, np.where(gi != 0, gi + offset, 0)))
+                joined_pred.append((ps, np.where(pi != 0, pi + offset, 0)))
+        fast = evaluate(gt, pred, config).s_assoc
+        assert fast == pytest.approx(brute_force_s_assoc(joined_gt, joined_pred, config),
+                                     abs=1e-12)
 
 
 class TestPanopticQuality:
@@ -504,6 +536,33 @@ class TestResultIsPure:
         first = ev.result().to_dict()
         assert first == ev.result().to_dict()
         assert len(first["warnings"]) == 1
+
+
+class TestLabelRange:
+    def test_negative_pred_id_is_a_validation_error(self):
+        ev = PanopticEvaluator(EvalConfig((CAR, ROAD), frozenset({CAR})))
+        with pytest.raises(ValidationError, match="must lie in"):
+            ev.add_scan(([CAR] * 3, [1] * 3), ([CAR] * 3, [-1] * 3))
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    @pytest.mark.parametrize("column", ["class", "id"])
+    @pytest.mark.parametrize("value", [-1, LABEL_FIELD_MAX + 1, 2**40])
+    def test_every_field_checked(self, eval_config, side, column, value):
+        ok = ([CAR, ROAD], [1, 0])
+        bad = ([CAR, value], [1, 0]) if column == "class" else ([CAR, ROAD], [1, value])
+        gt, pred = (bad, ok) if side == "gt" else (ok, bad)
+        ev = PanopticEvaluator(eval_config)
+        with pytest.raises(ValidationError, match=f"\\[0, {LABEL_FIELD_MAX}\\]"):
+            ev.add_scan(gt, pred)
+        assert not ev.table
+
+    def test_top_of_the_field_is_counted(self, eval_config):
+        top = LABEL_FIELD_MAX
+        gt = stream(([CAR, CAR, ROAD], [top, top, 0]))
+        pred = stream(([CAR, CAR, ROAD], [top - 1, top - 1, 0]))
+        report = evaluate({"s": gt}, {"s": pred}, eval_config)
+        assert report.s_assoc == 1.0
+        assert report.pq_per_class[CAR]["tp"] == 1
 
 
 class TestConfigValidation:
