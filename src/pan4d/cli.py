@@ -11,6 +11,7 @@ does a usage error. Exit codes: 0 ok, 1 validation failure, 2 io error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -33,7 +34,10 @@ def _seq_path(root, seq, *parts):
     return os.path.join(root, *([seq] if seq else []), *parts)
 
 
-def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed):
+def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed, created):
+    """Run one sequence, writing each scan's labels as soon as they are final.
+    The predictions/ directory, if it makes it, and every label file it
+    writes are added to created, in order."""
     seq = kitti_io.load_sequence(seq_dir)
     if not seq.has_fields:
         raise FormatError(f"{seq_dir}: no fields/ sidecar directory; cmd_run needs "
@@ -49,6 +53,16 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed):
     def semantics_fn(i):
         return seq.labels(i).semantic
 
+    pred_dir = _seq_path(out_root, seq_name, "predictions")
+
+    def write(t, labels):
+        if not os.path.isdir(pred_dir):
+            os.makedirs(pred_dir, exist_ok=True)
+            created.append(pred_dir)
+        path = os.path.join(pred_dir, f"{t:06d}.label")
+        created.append(path)  # before the write, so a partial file is removed too
+        kitti_io.write_labels(labels, path)
+
     eval_cfg = cfg.eval_config
     result = run_online_pipeline(
         seq,
@@ -61,12 +75,8 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed):
         seed=seq_seed,
         assoc_iou=cfg.assoc_iou,
         window_stride=cfg.window_stride,
+        emit=write,
     )
-
-    pred_dir = _seq_path(out_root, seq_name, "predictions")
-    os.makedirs(pred_dir, exist_ok=True)
-    for t, labels in enumerate(result.labels):
-        kitti_io.write_labels(labels, os.path.join(pred_dir, f"{t:06d}.label"))
     return seq_name, result.stats, pred_dir
 
 
@@ -79,15 +89,25 @@ def cmd_run(args) -> int:
     jobs = [(s, _seq_path(cfg.data_dir, s)) for s in cfg.sequences or [""]]
     seeds = {name: [cfg.seed, k] for k, (name, _) in enumerate(sorted(jobs))}
 
+    created = []  # predictions/ directories and label files this run made, in order
+
     def work(job):
         name, seq_dir = job
-        return _run_one_sequence(name, seq_dir, cfg.out_dir, cfg, seeds[name])
+        return _run_one_sequence(name, seq_dir, cfg.out_dir, cfg, seeds[name], created)
 
-    if cfg.threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
+    try:
+        if cfg.threads > 1 and len(jobs) > 1:
+            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+                results = list(pool.map(work, jobs))
+        else:
+            results = [work(j) for j in jobs]
+    except BaseException:
+        # a failed run leaves none of its output: the pool has finished every
+        # job, so nothing is written after this
+        for path in reversed(created):
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(path) else os.unlink)(path)
+        raise
 
     for name, stats, pred_dir in results:
         label = name or os.path.basename(os.path.normpath(cfg.data_dir))

@@ -24,6 +24,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import FormatError, ValidationError
+from .kitti_io import LABEL_FIELD_MAX
 
 FEATURE_MODES = ("xyz", "xyzt", "emb", "emb+xyz", "emb+xyzt")
 
@@ -344,22 +345,37 @@ def majority_vote_classes(assignment: InstanceAssignment, semantic: np.ndarray,
 
     Ties go to the smaller class id. Instances whose modal class is a stuff
     class are dissolved: members keep their semantics, instance ids reset to 0
-    and the survivors are renumbered.
+    and the survivors are renumbered. One count of the (instance, class) pairs
+    of all members, packed into one int64 key, settles every instance. So
+    members must be disjoint, as cluster_volume makes them, and their class
+    ids must lie in [0, LABEL_FIELD_MAX], the range of a label's class field.
     """
-    stuff = set(int(c) for c in stuff_classes)
-    sem = np.asarray(semantic)
+    k = assignment.n_instances
     ids = np.zeros_like(assignment.instance_ids)
-    seeds, members, classes = [], [], []
-    for seed, mem in zip(assignment.seeds, assignment.members):
-        values, counts = np.unique(sem[mem], return_counts=True)
-        modal = int(values[counts == counts.max()].min())
-        if modal in stuff:
-            continue
-        seeds.append(seed)
-        members.append(mem)
-        classes.append(modal)
-        ids[mem] = len(members)
-    return InstanceAssignment(instance_ids=ids, seeds=seeds, members=members, classes=classes)
+    if k == 0:
+        return InstanceAssignment(instance_ids=ids)
+    points = np.concatenate(assignment.members)
+    owner = np.repeat(np.arange(k), [len(m) for m in assignment.members])
+    sem = np.asarray(semantic, dtype=np.int64)[points]
+    if sem.min() < 0 or sem.max() > LABEL_FIELD_MAX:
+        raise ValidationError(f"member class ids must lie in [0, {LABEL_FIELD_MAX}]")
+    pairs, counts = np.unique(owner << 16 | sem, return_counts=True)
+    inst = pairs >> 16
+    # per instance, the largest count first; the stable sort keeps equal
+    # counts in increasing class order, so the smaller class wins a tie
+    order = np.lexsort((-counts, inst))
+    first = order[np.r_[True, inst[order[1:]] != inst[order[:-1]]]]
+    modal = pairs[first] & LABEL_FIELD_MAX
+    keep = ~np.isin(modal, list(stuff_classes))
+    new_id = np.cumsum(keep) * keep  # 1..K' for the survivors, 0 when dissolved
+    ids[points] = new_id[owner]
+    kept = np.flatnonzero(keep).tolist()
+    return InstanceAssignment(
+        instance_ids=ids,
+        seeds=[assignment.seeds[i] for i in kept],
+        members=[assignment.members[i] for i in kept],
+        classes=modal[keep].tolist(),
+    )
 
 
 def write_cluster_fields(path, embeddings: np.ndarray, objectness: np.ndarray,

@@ -14,7 +14,8 @@ inserted before the first row of a later scan, so the window covers them for
 association and the order holds. Each scan is emitted once, by the first
 window that contains it: its rows are one slice of the table, and its other
 points copy their nearest row, with distance ties going to the lowest (scan,
-point).
+point). Emitted labels go to the caller at once; the pipeline keeps only the
+classes of the current window's scans.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger
 
 @dataclass
 class PipelineResult:
-    labels: list  # PanopticLabels per scan
+    labels: list | None  # PanopticLabels per scan; None when they went to `emit`
     n_instances: int
     stats: dict
 
@@ -171,6 +172,7 @@ def run_online_pipeline(
     seed: int = 0,
     assoc_iou: float = 0.5,
     window_stride: int = 1,
+    emit=None,
 ) -> PipelineResult:
     """Run volume building, clustering, and association over a whole sequence.
 
@@ -185,9 +187,15 @@ def run_online_pipeline(
             every scan is emitted from the window where it is newest; larger
             strides emit intermediate scans from the next window, filling
             points the volume did not include by nearest included neighbor.
+        emit: called as emit(scan index, PanopticLabels) once per scan, in
+            increasing scan order, as soon as the scan's labels are final. The
+            pipeline keeps no labels of scans older than the current window,
+            so memory holds O(tau) scans whatever the sequence length. An
+            exception from emit ends the run.
 
     Returns:
-        PipelineResult with one PanopticLabels per scan.
+        PipelineResult with one PanopticLabels per scan in `labels`, or, when
+        emit is given, with `labels` None.
     """
     volume_config.validate()
     cluster_params.validate()
@@ -202,7 +210,11 @@ def run_online_pipeline(
     ledger = TrackLedger()
     prev_result = None
     cache = {}  # scan index -> _load_scan(...), for the scans of the current window
-    out_labels = [None] * n_scans  # None until the scan is emitted
+    emitted = {}  # scan index -> its emitted classes, for the scans of the current window
+    labels = None
+    if emit is None:
+        labels = [None] * n_scans
+        emit = labels.__setitem__
     peak_points = 0
     t_start = time.perf_counter()
 
@@ -213,13 +225,14 @@ def run_online_pipeline(
     for t in window_ts:
         window = range(max(0, t - tau + 1), t + 1)
         cache = {s: cache[s] for s in window if s in cache}
+        emitted = {s: emitted[s] for s in window if s in emitted}
         for s in window:
             if s not in cache:
                 cache[s] = _load_scan(seq, s, fields_fn, semantics_fn)
 
         # past states (scan, coords, objectness, classes) of the emitted scans
-        states = [PastScanState(s, cache[s][0], cache[s][1][2], out_labels[s].semantic)
-                  for s in window[:-1] if out_labels[s] is not None]
+        states = [PastScanState(s, cache[s][0], cache[s][1][2], emitted[s])
+                  for s in window[:-1] if s in emitted]
         rng = np.random.default_rng([seed, t])
         volume = build_volume(cache[t][0], t, states, volume_config, rng, thing_classes)
         peak_points = max(peak_points, len(volume))
@@ -229,8 +242,9 @@ def run_online_pipeline(
         feats, variances = build_point_features(volume.coords, v_emb, v_var, cluster_params)
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
         assignment = majority_vote_classes(assignment, sem, stuff_classes)
-        for cls, mem in zip(assignment.classes, assignment.members):
-            sem[mem] = cls  # members take their instance's majority class
+        ids = assignment.instance_ids
+        voted = ids > 0  # members take their instance's majority class
+        sem[voted] = np.asarray(assignment.classes, dtype=np.int64)[ids[voted] - 1]
 
         # the label table: one row per volume point and per point of the
         # skipped stride scans (filled by its nearest volume row); each
@@ -264,12 +278,14 @@ def run_online_pipeline(
         table = (*table[:3], cur_result.instance)
 
         for s in window:
-            if out_labels[s] is None:
-                out_labels[s] = _emit_scan(s, cache[s][0], table)
+            if s not in emitted:
+                scan_labels = _emit_scan(s, cache[s][0], table)
+                emitted[s] = scan_labels.semantic
+                emit(s, scan_labels)
         prev_result = cur_result
 
     return PipelineResult(
-        labels=out_labels,
+        labels=labels,
         n_instances=ledger.next_id - 1,
         stats={
             "scans": n_scans,

@@ -1,4 +1,5 @@
 import json
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,7 @@ import yaml
 
 from pan4d import cli
 from pan4d.cli import main
-from pan4d.clustering import ClusterParams
+from pan4d.clustering import ClusterParams, read_cluster_fields, write_cluster_fields
 from pan4d.config import RunConfig
 from pan4d.volume import VolumeConfig
 
@@ -119,6 +120,72 @@ class TestEndToEnd:
                 fa = outs["1"] / seq / "predictions" / f"{i:06d}.label"
                 fb = outs["2"] / seq / "predictions" / f"{i:06d}.label"
                 assert fa.read_bytes() == fb.read_bytes()
+
+
+def spoil_last_sidecar(seq_dir, how):
+    """Break the last scan's sidecar so the run fails only at that scan:
+    a NaN embedding (an io error, exit 2) or one point too few (exit 1)."""
+    path = sorted((seq_dir / "fields").iterdir())[-1]
+    cf = read_cluster_fields(path)
+    emb, obj, var = cf.embeddings.copy(), cf.objectness, cf.variances
+    if how == "nan":
+        emb[-1, 0] = np.nan
+    else:
+        emb, obj, var = emb[:-1], obj[:-1], var[:-1]
+    write_cluster_fields(path, emb, obj, var)
+
+
+class TestFailedRunLeavesNoOutput:
+    """Label files are written as scans become final, and a run that fails
+    removes every label file and predictions/ directory it made."""
+
+    @pytest.fixture
+    def spoiled(self, dataset, tmp_path):
+        _, data_dir = dataset
+        copy = tmp_path / "data"
+        shutil.copytree(data_dir, copy)
+        return copy
+
+    def run(self, data_dir, out, sequences="00", threads="1"):
+        return main([
+            "run", "--data", str(data_dir), "--sequences", sequences, "--out", str(out),
+            "--config", str(data_dir / "classes.yaml"), "--strategy", "importance",
+            "--tau", "4", "--feature-mode", "emb", "--threads", threads,
+        ])
+
+    @pytest.mark.parametrize("how, code", [("nan", 2), ("short", 1)])
+    def test_failure_at_last_scan_removes_written_scans(self, spoiled, tmp_path, how, code,
+                                                        monkeypatch):
+        written = []
+        write = cli.kitti_io.write_labels
+        monkeypatch.setattr(cli.kitti_io, "write_labels",
+                            lambda labels, path: (written.append(path), write(labels, path)))
+        spoil_last_sidecar(spoiled / "00", how)
+        out = tmp_path / "out"
+        assert self.run(spoiled, out) == code
+        # the scans before the bad one were written while the run went on
+        assert len(written) == SCENE["n_scans"] - 1
+        assert not (out / "00" / "predictions").exists()
+
+    def test_earlier_output_directory_is_kept(self, spoiled, tmp_path):
+        pred_dir = tmp_path / "out" / "00" / "predictions"
+        pred_dir.mkdir(parents=True)
+        (pred_dir / "notes.txt").write_text("kept")
+        spoil_last_sidecar(spoiled / "00", "short")
+        assert self.run(spoiled, tmp_path / "out") == 1
+        assert [p.name for p in pred_dir.iterdir()] == ["notes.txt"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_sequence_removes_the_others_output(self, tmp_path, threads):
+        data_dir = tmp_path / "data"
+        for name in ("00", "01"):
+            spec = tmp_path / f"scene{name}.yaml"
+            spec.write_text(yaml.safe_dump(dict(SCENE, name=name, n_scans=5)))
+            assert main(["synth", "--spec", str(spec), "--out", str(data_dir)]) == 0
+        spoil_last_sidecar(data_dir / "01", "short")
+        out = tmp_path / "out"
+        assert self.run(data_dir, out, "00,01", threads) == 1
+        assert not list(out.rglob("predictions"))
 
 
 class TestSceneSpec:
@@ -332,7 +399,7 @@ def run_config(monkeypatch, tmp_path):
     """Run `pan4d run` up to the per-sequence work: (exit code, RunConfig or None)."""
     seen = []
 
-    def fake_sequence(name, seq_dir, out_root, cfg, seq_seed):
+    def fake_sequence(name, seq_dir, out_root, cfg, seq_seed, created):
         seen.append(cfg)
         return name, {"scans": 0, "peak_volume_points": 0, "seconds": 0.0}, out_root
 

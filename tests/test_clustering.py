@@ -9,6 +9,7 @@ from pan4d import clustering
 from pan4d.clustering import (
     ClusterFields,
     ClusterParams,
+    InstanceAssignment,
     build_point_features,
     cluster_volume,
     gaussian_affinity,
@@ -407,6 +408,65 @@ class TestClusterInputValues:
             cluster_volume(np.zeros((3, 0)), np.zeros((3, 0)), np.ones(3), ClusterParams())
 
 
+def reference_majority_vote(assignment, semantic, stuff_classes=()):
+    """majority_vote_classes as one np.unique per instance: the oracle."""
+    stuff = set(int(c) for c in stuff_classes)
+    ids = np.zeros_like(assignment.instance_ids)
+    seeds, members, classes = [], [], []
+    for seed, mem in zip(assignment.seeds, assignment.members):
+        values, counts = np.unique(semantic[mem], return_counts=True)
+        modal = int(values[counts == counts.max()].min())
+        if modal in stuff:
+            continue
+        seeds.append(seed)
+        members.append(mem)
+        classes.append(modal)
+        ids[mem] = len(members)
+    return InstanceAssignment(instance_ids=ids, seeds=seeds, members=members, classes=classes)
+
+
+@st.composite
+def votes(draw):
+    """(assignment, semantic, stuff classes): disjoint instances over a few
+    classes, so ties and stuff-modal instances are common."""
+    m = draw(st.integers(0, 40))
+    owner = np.array(draw(st.lists(st.integers(0, 6), min_size=m, max_size=m)), dtype=np.int64)
+    palette = draw(st.lists(st.sampled_from([3, CAR, TRUCK, ROAD, 70]), min_size=1,
+                            max_size=4, unique=True))
+    semantic = np.array(draw(st.lists(st.sampled_from(palette), min_size=m, max_size=m)),
+                        dtype=np.int64)
+    stuff = draw(st.sets(st.sampled_from([CAR, TRUCK, ROAD, 70, 99])))
+    ids = np.zeros(m, dtype=np.int64)
+    members = []
+    for o in np.unique(owner[owner > 0]):  # instance o -> id in order of appearance
+        members.append(np.flatnonzero(owner == o))
+        ids[members[-1]] = len(members)
+    seeds = [int(mem[draw(st.integers(0, len(mem) - 1))]) for mem in members]
+    return InstanceAssignment(instance_ids=ids, seeds=seeds, members=members), semantic, stuff
+
+
+class TestMajorityVoteMatchesReference:
+    @settings(max_examples=300)
+    @given(votes())
+    @example((  # a tie, a stuff-modal instance, then one renumbered past it
+        InstanceAssignment(instance_ids=np.array([1, 1, 1, 1, 2, 2, 2, 3, 3]), seeds=[0, 4, 7],
+                           members=[np.arange(4), np.arange(4, 7), np.arange(7, 9)]),
+        np.array([TRUCK, CAR, TRUCK, CAR, ROAD, ROAD, CAR, TRUCK, ROAD]),
+        {ROAD},
+    ))
+    def test_same_instances_ids_and_classes(self, vote):
+        assignment, semantic, stuff = vote
+        fast = majority_vote_classes(assignment, semantic, stuff)
+        slow = reference_majority_vote(assignment, semantic, stuff)
+        np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
+        assert fast.seeds == slow.seeds
+        assert fast.classes == slow.classes
+        assert all(type(c) is int for c in fast.classes)
+        assert len(fast.members) == len(slow.members)
+        for a, b in zip(fast.members, slow.members):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestMajorityVote:
     def _assignment(self, feats, members):
         obj = proximity_objectness(feats, members)
@@ -438,6 +498,14 @@ class TestMajorityVote:
         assert voted.n_instances == 0
         assert (voted.instance_ids == 0).all()
         np.testing.assert_array_equal(sem, [ROAD, ROAD, ROAD, CAR])  # untouched
+
+    @pytest.mark.parametrize("bad_class", [-1, 0x10000])
+    def test_class_outside_label_field_rejected(self, bad_class):
+        rng = np.random.default_rng(9)
+        feats = blob(rng, np.zeros(3), 0.1, 3)
+        out = self._assignment(feats, [np.arange(3)])
+        with pytest.raises(ValidationError, match="class ids"):
+            majority_vote_classes(out, np.array([CAR, bad_class, CAR]), stuff_classes={ROAD})
 
 
 class TestSidecarFormat:

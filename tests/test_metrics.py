@@ -1,3 +1,7 @@
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -442,6 +446,67 @@ class TestInvariances:
         gt, pred = random_stream(rng, n_scans=4, n_points=50)
         report = evaluate({"s": gt}, {"s": pred}, eval_config)
         assert report.miou == report.s_cls
+
+
+def report_bytes(report):
+    """The bytes write_json puts in a file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        report.write_json(path)
+        with open(path, "rb") as f:
+            return f.read()
+
+
+@st.composite
+def relabelled(draw, increasing):
+    """(gt, pred, gt', pred', config): up to three sequences, and the same
+    streams with each sequence's nonzero gt ids and pred ids renamed by two
+    bijections onto [1, LABEL_FIELD_MAX] (increasing ones if increasing)."""
+    sequences = draw(st.lists(_sequence, min_size=1, max_size=3))
+    config = EvalConfig(classes=(CAR, PERSON, ROAD), things=frozenset({CAR, PERSON}),
+                        pq_match_threshold=draw(st.sampled_from([0.5, 0.7])),
+                        per_sequence=draw(st.booleans()))
+    names = st.lists(st.integers(1, LABEL_FIELD_MAX), min_size=5, max_size=5, unique=True)
+    out = ({}, {}, {}, {})
+    for k, scans in enumerate(sequences):
+        maps = []
+        for _ in range(2):  # gt ids, then pred ids: 1..5 -> names, 0 stays 0
+            new = draw(names)
+            maps.append(np.array([0, *(sorted(new) if increasing else new)]))
+        streams = ([], [], [], [])
+        for scan in scans:
+            gs, gi, ps, pi = (np.array(col, dtype=np.int64) for col in zip(*scan))
+            for stream_, labels in zip(streams, [(gs, gi), (ps, pi),
+                                                 (gs, maps[0][gi]), (ps, maps[1][pi])]):
+                stream_.append(labels)
+        for side, stream_ in zip(out, streams):
+            side[f"s{k}"] = stream_
+    return (*out, config)
+
+
+class TestRelabelling:
+    """Instance ids only name tubes: renaming them one to one, per sequence
+    and on either side, leaves the report as it was."""
+
+    @settings(max_examples=150)
+    @given(relabelled(increasing=True))
+    def test_order_keeping_renames_keep_the_report_bytes(self, case):
+        gt, pred, gt2, pred2, config = case
+        assert report_bytes(evaluate(gt2, pred2, config)) == \
+            report_bytes(evaluate(gt, pred, config))
+
+    @settings(max_examples=150)
+    @given(relabelled(increasing=False))
+    def test_any_renames_keep_the_report(self, case):
+        # association_score sums its tubes in the order the count table met
+        # them, which renaming can change: s_assoc and lstq may move by a
+        # rounding step, every other value must keep its bytes
+        gt, pred, gt2, pred2, config = case
+        before = json.loads(report_bytes(evaluate(gt, pred, config)))
+        after = json.loads(report_bytes(evaluate(gt2, pred2, config)))
+        for key in ("s_assoc", "lstq"):
+            assert after.pop(key) == pytest.approx(before.pop(key), rel=1e-14, abs=1e-15)
+        assert json.dumps(after, sort_keys=True) == json.dumps(before, sort_keys=True)
 
 
 class TestEvaluate:

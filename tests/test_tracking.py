@@ -1,4 +1,5 @@
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -333,6 +334,53 @@ class TestOnlinePipeline:
             assert mapping[40 + w] == global_id
             cur.instance[cur.instance == 40 + w] = mapping[40 + w]
             prev = cur
+
+
+class TestStreamingEmit:
+    """emit gets every scan once, in order, and the pipeline then lets go of
+    all labels of scans older than its current window."""
+
+    @pytest.mark.parametrize("window_stride", [1, 2])
+    def test_emits_in_order_and_matches_collected_labels(self, window_stride):
+        data = generate_sequence(single_object_scene(n_scans=11))
+        args = (MemorySequence(data), *oracle_providers(data),
+                VolumeConfig(strategy="importance", tau=4), oracle_params())
+        kwargs = dict(thing_classes={CAR}, stuff_classes=set(), seed=2,
+                      window_stride=window_stride)
+        got = []
+        streamed = run_online_pipeline(*args, **kwargs, emit=lambda s, l: got.append((s, l)))
+        collected = run_online_pipeline(*args, **kwargs)
+        assert streamed.labels is None
+        assert [s for s, _ in got] == list(range(11))
+        for (_, a), b in zip(got, collected.labels):
+            np.testing.assert_array_equal(a.semantic, b.semantic)
+            np.testing.assert_array_equal(a.instance, b.instance)
+
+    @pytest.mark.parametrize("window_stride", [1, 2])
+    def test_labels_older_than_the_window_are_released(self, window_stride):
+        n_scans, tau = 13, 4
+        data = generate_sequence(single_object_scene(n_scans=n_scans))
+        window_ts = sorted(set(range(0, n_scans, window_stride)) | {n_scans - 1})
+        refs = {}  # scan -> weak references to its labels and their two arrays
+
+        def alive(before):
+            return [s for s in range(before) if any(r() is not None for r in refs[s])]
+
+        def emit(s, labels):
+            # the window emitting scan s is the first one that ends at or after s
+            t = next(t for t in window_ts if t >= s)
+            assert alive(max(0, t - tau + 1)) == []
+            refs[s] = [weakref.ref(x) for x in (labels, labels.semantic, labels.instance)]
+
+        result = run_online_pipeline(
+            MemorySequence(data), *oracle_providers(data),
+            VolumeConfig(strategy="thing", tau=tau), oracle_params(),
+            thing_classes={CAR}, stuff_classes=set(), seed=0,
+            window_stride=window_stride, emit=emit,
+        )
+        assert result.labels is None
+        assert sorted(refs) == list(range(n_scans))
+        assert alive(n_scans - tau) == []
 
 
 class TestWindowRowOrder:
