@@ -29,15 +29,19 @@ from .synth import class_map_for, generate_sequence, scene_spec_from_dict, write
 from .tracking import run_online_pipeline
 
 
+STAGED = ".part"  # a label file's suffix until the whole run has succeeded
+
+
 def _seq_path(root, seq, *parts):
     """root/seq/parts..., or root/parts... for the unnamed sequence ""."""
     return os.path.join(root, *([seq] if seq else []), *parts)
 
 
 def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed, created):
-    """Run one sequence, writing each scan's labels as soon as they are final.
-    The predictions/ directory, if it makes it, and every label file it
-    writes are added to created, in order."""
+    """Run one sequence, writing each scan's labels as soon as they are final,
+    under its staged name (label path + STAGED). The predictions/ directory,
+    if it makes it, and every staged file it writes are added to created, in
+    order."""
     seq = kitti_io.load_sequence(seq_dir)
     if not seq.has_fields:
         raise FormatError(f"{seq_dir}: no fields/ sidecar directory; cmd_run needs "
@@ -59,7 +63,7 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed, created):
         if not os.path.isdir(pred_dir):
             os.makedirs(pred_dir, exist_ok=True)
             created.append(pred_dir)
-        path = os.path.join(pred_dir, f"{t:06d}.label")
+        path = os.path.join(pred_dir, f"{t:06d}.label{STAGED}")
         created.append(path)  # before the write, so a partial file is removed too
         kitti_io.write_labels(labels, path)
 
@@ -89,7 +93,7 @@ def cmd_run(args) -> int:
     jobs = [(s, _seq_path(cfg.data_dir, s)) for s in cfg.sequences or [""]]
     seeds = {name: [cfg.seed, k] for k, (name, _) in enumerate(sorted(jobs))}
 
-    created = []  # predictions/ directories and label files this run made, in order
+    created = []  # predictions/ directories and staged label files this run made, in order
 
     def work(job):
         name, seq_dir = job
@@ -101,9 +105,13 @@ def cmd_run(args) -> int:
                 results = list(pool.map(work, jobs))
         else:
             results = [work(j) for j in jobs]
+        for path in created:  # every sequence succeeded: publish the labels
+            if path.endswith(STAGED):
+                os.replace(path, path[:-len(STAGED)])
     except BaseException:
-        # a failed run leaves none of its output: the pool has finished every
-        # job, so nothing is written after this
+        # a failed run leaves none of its output, and the label files of an
+        # earlier run as they were: the pool has finished every job, so
+        # nothing is written after this
         for path in reversed(created):
             with contextlib.suppress(OSError):
                 (os.rmdir if os.path.isdir(path) else os.unlink)(path)

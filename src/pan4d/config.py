@@ -13,7 +13,9 @@ command-line flags override file values. Example:
 
 Run parameters are the dataclass fields with help text (RUN_PARAMS). Each
 is a YAML key and a `pan4d run` flag (underscores as dashes). Values from
-both go through coerce(), then validate(). Other keys than FILE_KEYS fail.
+both go through coerce(), then validate(). `pan4d run` and `pan4d evaluate`
+read the same files, and both fail on a key that is neither a run parameter
+nor in FILE_KEYS.
 """
 
 from __future__ import annotations
@@ -69,7 +71,16 @@ def _class_ids(key, values, kind=(list, tuple)):
     return [coerce(key, c, "int") for c in values]
 
 
+def _check_keys(data: dict):
+    """ValidationError naming the first key of data that is neither a run
+    parameter nor in FILE_KEYS."""
+    unknown = sorted(set(data) - set(RUN_PARAMS) - FILE_KEYS, key=str)
+    if unknown:
+        raise ValidationError(f"unknown config key {unknown[0]!r}")
+
+
 def eval_config_from_dict(data: dict) -> EvalConfig:
+    _check_keys(data)
     try:
         kwargs = {"classes": tuple(_class_ids("classes", data["classes"])),
                   "things": frozenset(_class_ids("things", data["things"]))}
@@ -130,9 +141,7 @@ RUN_PARAMS = {f.name: f for cls in (VolumeConfig, ClusterParams, RunConfig) for 
 def run_config_from_sources(file_data: dict, overrides: dict) -> RunConfig:
     """Merge config-file values with CLI overrides (overrides that are not
     None win); unknown file keys and values of the wrong type fail."""
-    unknown = sorted(set(file_data) - set(RUN_PARAMS) - FILE_KEYS, key=str)
-    if unknown:
-        raise ValidationError(f"unknown config key {unknown[0]!r}")
+    _check_keys(file_data)
     merged = dict(file_data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
 

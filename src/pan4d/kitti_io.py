@@ -38,7 +38,6 @@ class Scan:
 
     points: np.ndarray  # (N, 3) float32, meters
     remission: np.ndarray  # (N,) float32
-    scan_index: int = 0
 
     def __post_init__(self):
         if self.points.ndim != 2 or self.points.shape[1] != 3:
@@ -50,8 +49,6 @@ class Scan:
             )
         if not np.isfinite(self.points).all():
             raise ValidationError("scan coordinates must be finite")
-        if self.scan_index < 0:
-            raise ValidationError("scan_index must be non-negative")
 
     def __len__(self):
         return self.points.shape[0]
@@ -78,10 +75,9 @@ class PanopticLabels:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid transform into `frame`, stored as a homogeneous 4x4 matrix."""
+    """Rigid transform into the world frame, stored as a homogeneous 4x4 matrix."""
 
     matrix: np.ndarray  # (4, 4) float64
-    frame: str = "world"
 
     def __post_init__(self):
         m = self.matrix
@@ -94,8 +90,8 @@ class Pose:
             raise ValidationError("pose bottom row must be [0, 0, 0, 1]")
 
     @classmethod
-    def identity(cls, frame: str = "world") -> "Pose":
-        return cls(matrix=np.eye(4), frame=frame)
+    def identity(cls) -> "Pose":
+        return cls(matrix=np.eye(4))
 
     def transform(self, points: np.ndarray) -> np.ndarray:
         """Apply the pose to an (N, 3) array of points.
@@ -115,15 +111,14 @@ class Pose:
         inv = np.eye(4)
         inv[:3, :3] = r.T
         inv[:3, 3] = -r.T @ t
-        return Pose(matrix=inv, frame=self.frame)
+        return Pose(matrix=inv)
 
 
-def read_point_scan(path, scan_index: int = 0) -> Scan:
+def read_point_scan(path) -> Scan:
     """Read one velodyne .bin file.
 
     Args:
         path: file of little-endian float32 (x, y, z, remission) records.
-        scan_index: index to attach to the returned Scan.
 
     Raises:
         FormatError: truncated file or non-finite values.
@@ -138,7 +133,7 @@ def read_point_scan(path, scan_index: int = 0) -> Scan:
     if bad.any():
         idx = int(np.argmax(bad))
         raise FormatError(f"{path}: non-finite value at point {idx}")
-    return Scan(points=data[:, :3], remission=data[:, 3], scan_index=scan_index)
+    return Scan(points=data[:, :3], remission=data[:, 3])
 
 
 def write_point_scan(scan: Scan, path):
@@ -223,7 +218,7 @@ def read_poses(poses_path, calib_path) -> list:
             if not line.strip():
                 continue
             p_cam = _parse_line_12(line, f"{poses_path} line {k}")
-            poses.append(Pose(matrix=tr_inv @ p_cam @ tr, frame="world"))
+            poses.append(Pose(matrix=tr_inv @ p_cam @ tr))
     return poses
 
 
@@ -254,7 +249,7 @@ class SequenceHandle:
 
     def scan(self, i) -> Scan:
         self._check_index(i)
-        return read_point_scan(self.scan_paths[i], scan_index=i)
+        return read_point_scan(self.scan_paths[i])
 
     def labels(self, i) -> PanopticLabels:
         self._check_index(i)
@@ -286,12 +281,8 @@ def listdir_sorted(d, suffix):
     return [os.path.join(d, n) for n in sorted(os.listdir(d)) if n.endswith(suffix)]
 
 
-def load_sequence(seq_dir, scan_range=None) -> SequenceHandle:
+def load_sequence(seq_dir) -> SequenceHandle:
     """Open a sequence directory laid out as velodyne/ labels/ poses.txt calib.txt.
-
-    Args:
-        seq_dir: sequence root.
-        scan_range: optional (start, stop) slice of scan indices.
 
     Raises:
         FormatError: missing velodyne directory, pose/scan count mismatch.
@@ -325,15 +316,6 @@ def load_sequence(seq_dir, scan_range=None) -> SequenceHandle:
             )
     else:
         poses = [Pose.identity() for _ in scan_paths]
-
-    if scan_range is not None:
-        start, stop = scan_range
-        if not (0 <= start <= stop <= len(scan_paths)):
-            raise ValidationError(f"scan_range {scan_range} outside [0, {len(scan_paths)}]")
-        scan_paths = scan_paths[start:stop]
-        label_paths = label_paths[start:stop] if label_paths else []
-        fields_paths = fields_paths[start:stop] if fields_paths else []
-        poses = poses[start:stop]
 
     return SequenceHandle(
         root=seq_dir,

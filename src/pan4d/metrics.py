@@ -149,6 +149,9 @@ def _match_segments(seg, table, config):
     return matches
 
 
+_NO_TUBES = "no ground-truth tubes; association score defined as 1.0"
+
+
 def _mean(values):
     return float(np.mean(values)) if values else 0.0
 
@@ -175,12 +178,7 @@ class PanopticEvaluator:
         self.table = Counter()  # (seq, gt id, pred id, gt class, pred class) -> points
         self.seg = _new_segment_stats(config.classes)
         self._last_match = {}  # (seq, class, gt id) -> pred id
-
-    @property
-    def warnings(self):
-        """Conditions the report should mention, derived from the counts."""
-        no_tubes = "no ground-truth tubes; association score defined as 1.0"
-        return [] if self._tubes()[0] else [no_tubes]
+        self.sequences = set()  # every seq passed to add_scan
 
     # -- accumulation ------------------------------------------------------
 
@@ -200,6 +198,7 @@ class PanopticEvaluator:
         fields = [(keys >> shift & LABEL_FIELD_MAX).tolist() for shift in (48, 32, 16, 0)]
         scan = {(seq, *key): n for *key, n in zip(*fields, counts.tolist())}
         self.table.update(scan)
+        self.sequences.add(seq)
         if not self.pq_per_scan:
             return
         for c, iou, (_, g), (_, p) in _match_segments(self.seg, scan, self.config):
@@ -212,15 +211,24 @@ class PanopticEvaluator:
 
     # -- results -----------------------------------------------------------
 
-    def _tubes(self, seq=None):
-        """Thing tubes of all sequences, or of sequence seq: gt and pred tube
-        sizes {(seq, id): points} and overlaps {(seq, gt id, pred id): points},
-        each in the order the table first counted it."""
+    def _stream_scores(self, seq=None):
+        """One pass over the table rows of all sequences, or of sequence seq:
+        (class IoUs, gt tube sizes, pred tube sizes, S_assoc).
+
+        Tube sizes map (seq, id) to points. Every sum runs in the order the
+        table first counted its rows. S_assoc is the TPA-weighted tube IoU
+        averaged over gt tubes, 1.0 when there are none."""
         things = self.config.things
+        tp, fp, fn = defaultdict(int), defaultdict(int), defaultdict(int)
         gt, pred, overlaps = defaultdict(int), defaultdict(int), defaultdict(int)
         for (s, g, p, gc, pc), n in self.table.items():
             if seq is not None and s != seq:
                 continue
+            if gc == pc:
+                tp[gc] += n
+            else:
+                fp[pc] += n
+                fn[gc] += n
             g_tube, p_tube = g != 0 and gc in things, p != 0 and pc in things
             if g_tube:
                 gt[(s, g)] += n
@@ -228,51 +236,32 @@ class PanopticEvaluator:
                 pred[(s, p)] += n
             if g_tube and p_tube:
                 overlaps[(s, g, p)] += n
-        return gt, pred, overlaps
-
-    def semantic_iou(self, seq=None):
-        """Per-class IoU from the point-level confusion counts, pooled over
-        all sequences or of sequence seq."""
-        tp, fp, fn = defaultdict(int), defaultdict(int), defaultdict(int)
-        for (s, _, _, g, p), n in self.table.items():
-            if seq is not None and s != seq:
-                continue
-            if g == p:
-                tp[g] += n
-            else:
-                fp[p] += n
-                fn[g] += n
-        return {
-            c: tp[c] / (tp[c] + fp[c] + fn[c])
-            for c in self.config.classes
-            if tp[c] + fp[c] + fn[c]
-        }
-
-    def association_score(self, seq=None):
-        """TPA-weighted tube IoU, averaged over ground-truth tubes (all, or
-        those of sequence seq); 1.0 when there are none."""
-        gt, pred, overlaps = self._tubes(seq)
-        if not gt:
-            return 1.0
+        iou = {c: tp[c] / (tp[c] + fp[c] + fn[c])
+               for c in self.config.classes if tp[c] + fp[c] + fn[c]}
         inner = defaultdict(float)
         for (s, g, p), tpa in overlaps.items():
             inner[(s, g)] += tpa * (tpa / (gt[(s, g)] + pred[(s, p)] - tpa))
         total = 0.0
         for key, gt_size in gt.items():
             total += inner.get(key, 0.0) / gt_size
-        return total / len(gt)
+        return iou, gt, pred, total / len(gt) if gt else 1.0
 
     def result(self) -> "MetricReport":
+        """The report. With config.per_sequence, s_cls (= miou), s_assoc and
+        lstq average the values of each sequence add_scan has seen; every
+        other field is pooled over all sequences."""
         seg = self.seg
         if not self.pq_per_scan:  # one segment per tube of a whole sequence
             seg = _new_segment_stats(self.config.classes)
             _match_segments(seg, self.table, self.config)
-        iou_per_class = self.semantic_iou()
+        iou_per_class, gt_tubes, pred_tubes, s_assoc = self._stream_scores()
         s_cls = _mean(list(iou_per_class.values()))
+        if self.config.per_sequence and self.sequences:
+            per_seq = [self._stream_scores(s) for s in sorted(self.sequences)]
+            s_cls = _mean([_mean(list(iou.values())) for iou, *_ in per_seq])
+            s_assoc = _mean([score for *_, score in per_seq])
         things_iou = [v for c, v in iou_per_class.items() if c in self.config.things]
         stuff_iou = [v for c, v in iou_per_class.items() if c in self.config.stuff]
-        s_assoc = self.association_score()
-        tubes = self._tubes()
 
         pq_per_class, mots_per_class = {}, {}
         for c in self.config.classes:
@@ -323,9 +312,9 @@ class PanopticEvaluator:
             smotsa_mean=_mean([v["smotsa"] for v in mots_per_class.values()]),
             ptq_mean=_mean([v["ptq"] for v in pq_per_class.values() if "ptq" in v]),
             sptq_mean=_mean([v["sptq"] for v in pq_per_class.values() if "sptq" in v]),
-            n_gt_tubes=len(tubes[0]),
-            n_pred_tubes=len(tubes[1]),
-            warnings=self.warnings,
+            n_gt_tubes=len(gt_tubes),
+            n_pred_tubes=len(pred_tubes),
+            warnings=[] if gt_tubes else [_NO_TUBES],
         )
 
 
@@ -544,22 +533,13 @@ def evaluate(gt_sequences: dict, pred_sequences: dict, config: EvalConfig) -> Me
     """Full report over one or more sequences of aligned label streams.
 
     gt ids are namespaced per sequence (tubes never cross sequences); class
-    counts are pooled before the IoU. With config.per_sequence, the stream
-    scores (s_cls, s_assoc, lstq, miou) are instead averaged over per-sequence
-    values taken from the same counts; segment-level counts stay pooled.
+    counts are pooled before the IoU, or, with config.per_sequence, the
+    stream scores are averaged over sequences (see PanopticEvaluator.result).
     Streams are consumed one scan pair at a time.
     """
     if set(gt_sequences) != set(pred_sequences):
         raise ValidationError("gt and pred sequence sets differ")
     ev = PanopticEvaluator(config)
-    seqs = sorted(gt_sequences)
-    for seq in seqs:
+    for seq in sorted(gt_sequences):
         _feed(ev, gt_sequences[seq], pred_sequences[seq], seq)
-    report = ev.result()
-    if config.per_sequence and seqs:
-        report.s_cls = report.miou = _mean(
-            [_mean(list(ev.semantic_iou(seq).values())) for seq in seqs]
-        )
-        report.s_assoc = _mean([ev.association_score(seq) for seq in seqs])
-        report.lstq = lstq(report.s_cls, report.s_assoc)
-    return report
+    return ev.result()

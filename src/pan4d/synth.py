@@ -198,7 +198,6 @@ def generate_sequence(spec: SceneSpec) -> SequenceData:
             Scan(
                 points=sensor.astype(np.float32),
                 remission=rng.uniform(0.0, 1.0, world.shape[0]).astype(np.float32),
-                scan_index=t,
             )
         )
         labels.append(PanopticLabels(semantic=sem, instance=inst))

@@ -14,8 +14,9 @@ inserted before the first row of a later scan, so the window covers them for
 association and the order holds. Each scan is emitted once, by the first
 window that contains it: its rows are one slice of the table, and its other
 points copy their nearest row, with distance ties going to the lowest (scan,
-point). Emitted labels go to the caller at once; the pipeline keeps only the
-classes of the current window's scans.
+point). Emitted labels go to the caller at once; the pipeline keeps one
+record per scan of the current window, with the scan's emitted classes as a
+PastScanState built once, when it is emitted.
 """
 
 from __future__ import annotations
@@ -126,9 +127,18 @@ class PipelineResult:
     stats: dict
 
 
+@dataclass
+class _ScanRecord:
+    """What the pipeline keeps of one scan of the current window."""
+
+    coords: np.ndarray  # (N, 3) aligned to the world frame
+    fields: tuple  # (embeddings, variances, objectness)
+    semantic: np.ndarray  # (N,) predicted classes
+    state: PastScanState | None = None  # its emitted classes, once emitted
+
+
 def _load_scan(seq, s, fields_fn, semantics_fn):
-    """(aligned coords, (emb, var, obj), predicted classes) of scan s, with
-    every field value checked once, here."""
+    """The record of scan s, with every field value checked once, here."""
     scan = seq.scan(s)
     emb, var, obj = fields_fn(s)
     sem = np.asarray(semantics_fn(s), dtype=np.int64)
@@ -140,7 +150,7 @@ def _load_scan(seq, s, fields_fn, semantics_fn):
         raise ValidationError(f"scan {s}: fields/semantics length mismatch")
     if sem.size and (sem.min() < 0 or sem.max() > LABEL_FIELD_MAX):
         raise ValidationError(f"scan {s}: predicted class ids must lie in [0, {LABEL_FIELD_MAX}]")
-    return align_scan(scan, seq.pose(s)), (emb, var, obj), sem
+    return _ScanRecord(align_scan(scan, seq.pose(s)), (emb, var, obj), sem)
 
 
 def _scan_rows(origin, s):
@@ -148,15 +158,14 @@ def _scan_rows(origin, s):
     return slice(*np.searchsorted(origin[:, 0], [s, s + 1]))
 
 
-def _fields_for_volume(volume: Volume4D, cache):
+def _fields_for_volume(volume: Volume4D, scans):
     """Gather per-point embeddings/variances/objectness/semantics for a volume."""
     m = len(volume)
-    d = cache[volume.window[1]][1][0].shape[1]
+    d = scans[volume.window[1]].fields[0].shape[1]
     out = (np.empty((m, d)), np.empty((m, d)), np.empty(m), np.empty(m, dtype=np.int64))
     for s in range(volume.window[0], volume.window[1] + 1):
         rows = _scan_rows(volume.origin, s)
-        _, fields, sem_s = cache[s]
-        for dst, src in zip(out, (*fields, sem_s)):
+        for dst, src in zip(out, (*scans[s].fields, scans[s].semantic)):
             dst[rows] = src[volume.origin[rows, 1]]
     return out
 
@@ -209,8 +218,7 @@ def run_online_pipeline(
 
     ledger = TrackLedger()
     prev_result = None
-    cache = {}  # scan index -> _load_scan(...), for the scans of the current window
-    emitted = {}  # scan index -> its emitted classes, for the scans of the current window
+    scans = {}  # scan index -> _ScanRecord, for the scans of the current window
     labels = None
     if emit is None:
         labels = [None] * n_scans
@@ -224,20 +232,17 @@ def run_online_pipeline(
 
     for t in window_ts:
         window = range(max(0, t - tau + 1), t + 1)
-        cache = {s: cache[s] for s in window if s in cache}
-        emitted = {s: emitted[s] for s in window if s in emitted}
+        scans = {s: scans[s] for s in window if s in scans}  # let go before loading
         for s in window:
-            if s not in cache:
-                cache[s] = _load_scan(seq, s, fields_fn, semantics_fn)
+            if s not in scans:
+                scans[s] = _load_scan(seq, s, fields_fn, semantics_fn)
 
-        # past states (scan, coords, objectness, classes) of the emitted scans
-        states = [PastScanState(s, cache[s][0], cache[s][1][2], emitted[s])
-                  for s in window[:-1] if s in emitted]
+        states = [scans[s].state for s in window[:-1] if scans[s].state is not None]
         rng = np.random.default_rng([seed, t])
-        volume = build_volume(cache[t][0], t, states, volume_config, rng, thing_classes)
+        volume = build_volume(scans[t].coords, t, states, volume_config, rng, thing_classes)
         peak_points = max(peak_points, len(volume))
 
-        v_emb, v_var, v_obj, sem = _fields_for_volume(volume, cache)
+        v_emb, v_var, v_obj, sem = _fields_for_volume(volume, scans)
         # rows of scans checked at load; cluster_volume checks the volume's inputs
         feats, variances = build_point_features(volume.coords, v_emb, v_var, cluster_params)
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
@@ -251,8 +256,8 @@ def run_online_pipeline(
         # skipped scan's rows go in before the first row of a later scan
         table = (volume.coords[:, :3], volume.origin, sem, assignment.instance_ids)
         if volume.skipped_scans:
-            fill = np.concatenate([cache[s][0] for s in volume.skipped_scans])
-            sizes = [cache[s][0].shape[0] for s in volume.skipped_scans]
+            fill = np.concatenate([scans[s].coords for s in volume.skipped_scans])
+            sizes = [scans[s].coords.shape[0] for s in volume.skipped_scans]
             fill_origin = np.column_stack([np.repeat(volume.skipped_scans, sizes),
                                            np.concatenate([np.arange(n) for n in sizes])])
             fill_table = (fill, fill_origin, *backfill_skipped(*table, fill))
@@ -278,9 +283,11 @@ def run_online_pipeline(
         table = (*table[:3], cur_result.instance)
 
         for s in window:
-            if s not in emitted:
-                scan_labels = _emit_scan(s, cache[s][0], table)
-                emitted[s] = scan_labels.semantic
+            record = scans[s]
+            if record.state is None:
+                scan_labels = _emit_scan(s, record.coords, table)
+                record.state = PastScanState(s, record.coords, record.fields[2],
+                                             scan_labels.semantic)
                 emit(s, scan_labels)
         prev_result = cur_result
 

@@ -3,7 +3,7 @@
 A volume covers the temporal window {max(0, t - tau + 1), ..., t}. The newest
 scan always enters in full; points from past scans are selected by one of four
 strategies ("thing", "importance", "decay", "stride"; "base" keeps tau = 1).
-Each volume point carries (x, y, z, t) with t = window slot * time_scale.
+Each volume point carries (x, y, z, t) with t its window slot (0 = oldest).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ class VolumeConfig:
     tau: int = field(default=4, metadata={"help": "temporal window size in scans"})
     fraction: float = field(default=0.10, metadata={"help": "past-scan sampling fraction"})
     stride: int = field(default=2, metadata={"help": "temporal stride of the stride strategy"})
-    time_scale: float = field(default=1.0, metadata={"help": "time coordinate per window slot"})
     max_points: int | None = field(default=None, metadata={
         "help": "total volume point budget of the thing strategy, None = unlimited"})
 
@@ -82,7 +81,7 @@ class Volume4D:
     keeps this order when it inserts the fill rows of skipped scans.
     """
 
-    coords: np.ndarray  # (M, 4): x, y, z world meters; t = slot * time_scale
+    coords: np.ndarray  # (M, 4): x, y, z world meters; t = window slot
     origin: np.ndarray  # (M, 2) int64: (scan_index, point_index)
     window: tuple  # (first_scan_index, last_scan_index), inclusive
     skipped_scans: list = field(default_factory=list)  # stride strategy only
@@ -305,7 +304,7 @@ def build_volume(
     blocks = [(pos, past_states[pos].scan_index, past_states[pos].coords[idx], idx)
               for pos, idx in sorted(selections.items())]
     blocks.append((n_past, current_index, current_coords, np.arange(current_coords.shape[0])))
-    coords = np.vstack([np.column_stack([xyz, np.full(idx.size, slot * config.time_scale)])
+    coords = np.vstack([np.column_stack([xyz, np.full(idx.size, slot)])
                         for slot, _, xyz, idx in blocks])
     origin = np.vstack([np.column_stack([np.full(idx.size, scan, dtype=np.int64), idx])
                         for _, scan, _, idx in blocks])

@@ -175,6 +175,16 @@ class TestFailedRunLeavesNoOutput:
         assert self.run(spoiled, tmp_path / "out") == 1
         assert [p.name for p in pred_dir.iterdir()] == ["notes.txt"]
 
+    def test_earlier_predictions_are_kept_whole(self, spoiled, tmp_path):
+        out = tmp_path / "out"
+        assert self.run(spoiled, out) == 0
+        pred_dir = out / "00" / "predictions"
+        before = {p.name: p.read_bytes() for p in pred_dir.iterdir()}
+        assert len(before) == SCENE["n_scans"]
+        spoil_last_sidecar(spoiled / "00", "short")
+        assert self.run(spoiled, out) == 1
+        assert {p.name: p.read_bytes() for p in pred_dir.iterdir()} == before
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failed_sequence_removes_the_others_output(self, tmp_path, threads):
         data_dir = tmp_path / "data"
@@ -186,6 +196,29 @@ class TestFailedRunLeavesNoOutput:
         out = tmp_path / "out"
         assert self.run(data_dir, out, "00,01", threads) == 1
         assert not list(out.rglob("predictions"))
+
+
+class TestEvaluateConfigKeys:
+    """`pan4d evaluate --config` takes the keys `pan4d run` takes, and no other."""
+
+    def evaluate(self, data_dir, tmp_path, extra):
+        class_map = yaml.safe_load((data_dir / "classes.yaml").read_text())
+        path = tmp_path / "eval.yaml"
+        path.write_text(yaml.safe_dump({**class_map, **extra}))
+        return main(["evaluate", "--gt", str(data_dir), "--pred", str(data_dir),
+                     "--sequences", "00", "--config", str(path),
+                     "--report", str(tmp_path / "report.txt")])
+
+    def test_misspelled_key_exits_one(self, dataset, tmp_path, capsys):
+        _, data_dir = dataset
+        assert self.evaluate(data_dir, tmp_path, {"pq_match_treshold": 0.7}) == 1
+        assert "pq_match_treshold" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_run_keys_are_accepted(self, dataset, tmp_path):
+        _, data_dir = dataset
+        assert self.evaluate(data_dir, tmp_path, {"tau": 3, "strategy": "decay"}) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["lstq"] == 1.0
 
 
 class TestSceneSpec:
@@ -356,7 +389,6 @@ PARAM_CASES = [
     ("tau", "3", 3),
     ("fraction", "0.25", 0.25),
     ("stride", "3", 3),
-    ("time_scale", "0.5", 0.5),
     ("max_points", "700", 700),
     ("assign_prob", "0.3", 0.3),
     ("seed_stop", "0.2", 0.2),

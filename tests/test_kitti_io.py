@@ -235,9 +235,3 @@ class TestSequenceHandle:
     def test_missing_velodyne(self, tmp_path):
         with pytest.raises(FormatError, match="velodyne"):
             load_sequence(str(tmp_path))
-
-    def test_scan_range(self, tmp_path):
-        self._make_sequence(tmp_path)
-        seq = load_sequence(str(tmp_path), scan_range=(1, 3))
-        assert len(seq) == 2
-        assert seq.scan(0).scan_index == 0  # index within the slice

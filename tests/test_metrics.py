@@ -99,8 +99,9 @@ class TestSAssoc:
         pred = stream(([CAR, CAR], [1, 1]))
         ev = PanopticEvaluator(eval_config)
         ev.add_scan(gt[0], pred[0])
-        assert ev.association_score() == 1.0
-        assert ev.warnings
+        report = ev.result()
+        assert report.s_assoc == 1.0
+        assert report.warnings
 
     def test_empty_prediction_scores_zero(self, eval_config):
         gt = stream(([CAR, CAR], [1, 1]))
@@ -448,11 +449,11 @@ class TestInvariances:
         assert report.miou == report.s_cls
 
 
-def report_bytes(report):
-    """The bytes write_json puts in a file."""
+def report_bytes(report, writer="write_json"):
+    """The bytes report.write_json (or the writer named) puts in a file."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "report.json")
-        report.write_json(path)
+        path = os.path.join(tmp, "report")
+        getattr(report, writer)(path)
         with open(path, "rb") as f:
             return f.read()
 
@@ -507,6 +508,38 @@ class TestRelabelling:
         for key in ("s_assoc", "lstq"):
             assert after.pop(key) == pytest.approx(before.pop(key), rel=1e-14, abs=1e-15)
         assert json.dumps(after, sort_keys=True) == json.dumps(before, sort_keys=True)
+
+
+class TestResultIsEvaluate:
+    """evaluate() is feeding the streams and calling result(): an evaluator
+    fed sequence by sequence writes the same report bytes."""
+
+    @settings(max_examples=150)
+    @given(st.lists(_sequence, min_size=1, max_size=3), st.booleans(),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    def test_fed_evaluator_writes_the_evaluate_report(self, sequences, per_sequence,
+                                                      threshold):
+        config = EvalConfig(classes=(CAR, PERSON, ROAD), things=frozenset({CAR, PERSON}),
+                            pq_match_threshold=threshold, per_sequence=per_sequence)
+        gt, pred = {}, {}
+        for k, scans in enumerate(sequences):
+            cols = [[np.array(col, dtype=np.int64) for col in zip(*scan)] for scan in scans]
+            gt[f"s{k}"] = [(gs, gi) for gs, gi, _, _ in cols]
+            pred[f"s{k}"] = [(ps, pi) for _, _, ps, pi in cols]
+        ev = PanopticEvaluator(config)
+        for seq in sorted(gt):
+            for g, p in zip(gt[seq], pred[seq]):
+                ev.add_scan(g, p, seq=seq)
+        fed, whole = ev.result(), evaluate(gt, pred, config)
+        for writer in ("write_text", "write_json"):
+            assert report_bytes(fed, writer) == report_bytes(whole, writer)
+
+    def test_sequence_without_scans_leaves_the_average(self, eval_config):
+        config = EvalConfig(classes=eval_config.classes, things=eval_config.things,
+                            per_sequence=True)
+        perfect = stream(([CAR] * 4 + [ROAD] * 2, [1] * 4 + [0] * 2))
+        report = evaluate({"a": perfect, "b": []}, {"a": perfect, "b": []}, config)
+        assert (report.s_cls, report.s_assoc, report.lstq) == (1.0, 1.0, 1.0)
 
 
 class TestEvaluate:

@@ -167,6 +167,20 @@ class TestOnlinePipeline:
             assert set(labels.instance.tolist()) == {1}
             assert set(labels.semantic.tolist()) == {CAR}
 
+    def test_each_past_state_built_once(self, monkeypatch):
+        built = []
+        state = tracking.PastScanState
+        monkeypatch.setattr(tracking, "PastScanState",
+                            lambda s, *args: (built.append(s), state(s, *args))[1])
+        data = generate_sequence(single_object_scene(n_scans=8))
+        run_online_pipeline(
+            MemorySequence(data), *oracle_providers(data),
+            VolumeConfig(strategy="importance", tau=4),
+            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+        )
+        assert len(built) == len(set(built))
+        assert set(range(7)) <= set(built)  # every scan that is ever a past scan
+
     def test_tau_one_degenerates_to_fresh_ids_per_scan(self):
         data = generate_sequence(single_object_scene(n_scans=6))
         fields_fn, semantics_fn = oracle_providers(data)

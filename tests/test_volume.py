@@ -273,13 +273,13 @@ class TestBuildVolume:
 
     def test_time_coordinate_slots(self):
         rng = np.random.default_rng(5)
-        cfg = VolumeConfig(strategy="importance", tau=4, time_scale=0.5)
+        cfg = VolumeConfig(strategy="importance", tau=4)
         states = self._states(rng, 0, 3, n=100)
         vol = build_volume(rng.normal(size=(100, 3)), 3, states, cfg,
                            np.random.default_rng(0))
-        slots = np.unique(vol.coords[:, 3])
-        assert set(slots) <= {0.0, 0.5, 1.0, 1.5}
-        assert vol.coords[vol.origin[:, 0] == 3, 3].min() == 1.5
+        assert set(np.unique(vol.coords[:, 3])) == {0.0, 1.0, 2.0, 3.0}
+        for scan in range(4):  # the t coordinate is the scan's window slot
+            assert (vol.coords[vol.origin[:, 0] == scan, 3] == scan).all()
 
     def test_truncated_window_at_sequence_start(self):
         rng = np.random.default_rng(6)
