@@ -63,10 +63,6 @@ from .volume import (
     align_scan,
     backfill_skipped,
     build_volume,
-    sample_importance,
-    sample_strided,
-    sample_temporal_decay,
-    sample_thing_prop,
 )
 
 __version__ = "0.1.0"

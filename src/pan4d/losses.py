@@ -32,14 +32,6 @@ class InstanceGroundTruth:
                 continue
             yield int(uid), np.flatnonzero(ids == uid)
 
-    @property
-    def n_instances(self):
-        return int(np.count_nonzero(np.unique(self.instance_ids)))
-
-    def centers(self, coords: np.ndarray) -> dict:
-        """Instance centers = mean of member coordinates."""
-        return {uid: coords[idx].mean(axis=0) for uid, idx in self.members()}
-
 
 def objectness_target(coords: np.ndarray, gt: InstanceGroundTruth) -> np.ndarray:
     """Per-point objectness: 1 - d / d_max toward the instance center.

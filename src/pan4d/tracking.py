@@ -6,15 +6,15 @@ point-set IoU computed over the points present in BOTH windows (keyed by
 sub-sampled past scans still associate. Matched instances inherit the previous
 global id; everything else receives a fresh id from the ledger.
 
-Each window keeps one label table: a row per volume point with its world
-coordinates, (scan, point) origin, class and instance, sorted by (scan, point)
-as `build_volume` emits them. The scans that the stride strategy skips are
-filled by nearest row and merged in (not appended): each one's rows are
-inserted before the first row of a later scan, so the window covers them for
-association and the order holds. Each scan is emitted once, by the first
-window that contains it: its rows are one slice of the table, and its other
-points copy their nearest row, with distance ties going to the lowest (scan,
-point). Emitted labels go to the caller at once; the pipeline keeps one
+Each window's label table is its WindowResult: a row per volume point with
+its world coordinates, (scan, point) origin, class and instance, sorted by
+(scan, point) as `build_volume` emits them. The scans that the stride
+strategy skips are filled by nearest row and merged in (not appended): each
+one's rows are inserted before the first row of a later scan, so the window
+covers them for association and the order holds. Each scan is emitted once,
+by the first window that contains it: its rows are one slice of the table,
+and its other points copy their nearest row, with distance ties going to the
+lowest (scan, point). Emitted labels go to the caller at once; the pipeline keeps one
 record per scan of the current window, with the scan's emitted classes as a
 PastScanState built once, when it is emitted.
 """
@@ -44,14 +44,14 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class WindowResult:
-    """Per-point labels produced by one window, one row per (scan, point) in
-    strictly increasing (scan, point) order."""
+    """One window's label table: a row per point, in strictly increasing
+    (scan, point) order, with the columns of Volume4D and backfill_skipped."""
 
     window_id: int
-    scan_idx: np.ndarray  # (M,) int64
-    point_idx: np.ndarray  # (M,) int64
-    instance: np.ndarray  # (M,) int64, 0 = unassigned
+    coords: np.ndarray | None  # (M, 3) world xyz; the pipeline drops them once emitted
+    origin: np.ndarray  # (M, 2) int64: (scan_index, point_index)
     semantic: np.ndarray  # (M,) class ids
+    instance: np.ndarray  # (M,) int64, 0 = unassigned
     scans: frozenset  # scan indices covered
 
     def __post_init__(self):
@@ -61,8 +61,8 @@ class WindowResult:
 
     def keys(self):
         """(scan << 32) | point per row."""
-        return (np.asarray(self.scan_idx, dtype=np.int64) << 32) | np.asarray(
-            self.point_idx, dtype=np.int64)
+        origin = np.asarray(self.origin, dtype=np.int64)
+        return (origin[:, 0] << 32) | origin[:, 1]
 
 
 @dataclass
@@ -263,11 +263,7 @@ def run_online_pipeline(
             fill_table = (fill, fill_origin, *backfill_skipped(*table, fill))
             at = np.searchsorted(volume.origin[:, 0], fill_origin[:, 0])
             table = tuple(np.insert(col, at, new, axis=0) for col, new in zip(table, fill_table))
-        _, origin, sem, inst = table
-        cur_result = WindowResult(
-            window_id=t, scan_idx=origin[:, 0], point_idx=origin[:, 1],
-            instance=inst, semantic=sem, scans=frozenset(window),
-        )
+        cur_result = WindowResult(t, *table, scans=frozenset(window))
 
         try:
             if prev_result is not None and (prev_result.scans & cur_result.scans):
@@ -279,16 +275,16 @@ def run_online_pipeline(
         to_global = np.zeros(assignment.n_instances + 1, dtype=np.int64)
         for local, gid in mapping.items():
             to_global[local] = gid
-        cur_result.instance = to_global[inst]
-        table = (*table[:3], cur_result.instance)
+        cur_result.instance = to_global[cur_result.instance]
 
         for s in window:
             record = scans[s]
             if record.state is None:
-                scan_labels = _emit_scan(s, record.coords, table)
+                scan_labels = _emit_scan(s, record.coords, cur_result)
                 record.state = PastScanState(s, record.coords, record.fields[2],
                                              scan_labels.semantic)
                 emit(s, scan_labels)
+        cur_result.coords = None  # association reads none: free them before the next window
         prev_result = cur_result
 
     return PipelineResult(
@@ -302,16 +298,16 @@ def run_online_pipeline(
     )
 
 
-def _emit_scan(s, coords_s, table):
-    """Final labels for scan s from a window's label table (coords, origin,
-    semantic, instance); points without a row copy their nearest row."""
-    _, origin, sem_rows, inst_rows = table
+def _emit_scan(s, coords_s, table: WindowResult):
+    """Final labels for scan s from a window's label table; points without a
+    row copy their nearest row."""
     sem = np.full(coords_s.shape[0], -1, dtype=np.int64)
     inst = np.zeros(coords_s.shape[0], dtype=np.int64)
-    rows = _scan_rows(origin, s)
-    sem[origin[rows, 1]] = sem_rows[rows]
-    inst[origin[rows, 1]] = inst_rows[rows]
+    rows = _scan_rows(table.origin, s)
+    sem[table.origin[rows, 1]] = table.semantic[rows]
+    inst[table.origin[rows, 1]] = table.instance[rows]
     missing = np.flatnonzero(sem < 0)
     if missing.size:
-        sem[missing], inst[missing] = backfill_skipped(*table, coords_s[missing])
+        sem[missing], inst[missing] = backfill_skipped(
+            table.coords, table.origin, table.semantic, table.instance, coords_s[missing])
     return PanopticLabels(semantic=sem, instance=inst)

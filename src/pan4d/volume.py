@@ -120,33 +120,6 @@ def weighted_sample(weights: np.ndarray, k: int, rng: np.random.Generator) -> np
     return np.sort(sel)
 
 
-def sample_thing_prop(past: PastScanState, thing_classes, budget=None, rng=None) -> np.ndarray:
-    """Select exactly the points predicted as a thing class.
-
-    If a budget is given and exceeded, a uniform random sub-sample of the
-    thing points is drawn (seeded via rng).
-    """
-    things = set(int(c) for c in thing_classes)
-    if not things:
-        raise ValidationError("thing class set must be non-empty")
-    mask = np.isin(np.asarray(past.semantic), sorted(things))
-    idx = np.flatnonzero(mask)
-    if budget is not None and idx.size > budget:
-        if rng is None:
-            raise ValidationError("budget sub-sampling requires an rng")
-        idx = np.sort(rng.choice(idx, size=budget, replace=False))
-    return idx
-
-
-def sample_importance(past: PastScanState, fraction: float = 0.10, rng=None) -> np.ndarray:
-    """Draw ceil(fraction * N) indices with weight proportional to objectness."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValidationError("fraction must lie in (0, 1]")
-    n = len(past)
-    k = int(np.ceil(fraction * n))
-    return weighted_sample(np.asarray(past.objectness, dtype=np.float64), k, rng)
-
-
 def temporal_decay_shares(n_past: int, total_budget: int) -> np.ndarray:
     """Integer point budgets per past scan, weighted e^i / sum_j e^j.
 
@@ -164,44 +137,6 @@ def temporal_decay_shares(n_past: int, total_budget: int) -> np.ndarray:
         order = np.argsort(-(raw - alloc), kind="stable")
         alloc[order[:short]] += 1
     return alloc
-
-
-def sample_temporal_decay(past_states, total_budget: int, rng) -> list:
-    """Importance-sample each past scan with a temporally decayed budget.
-
-    past_states is ordered oldest to newest. Each scan's allocation is capped
-    at its point count; budget 0 yields empty selections.
-    """
-    if len(past_states) < 1:
-        raise ValidationError("temporal decay needs at least one past scan")
-    shares = temporal_decay_shares(len(past_states), total_budget)
-    out = []
-    for state, share in zip(past_states, shares):
-        k = min(int(share), len(state))
-        out.append(weighted_sample(np.asarray(state.objectness, dtype=np.float64), k, rng))
-    return out
-
-
-def sample_strided(past_states, stride: int = 2, fraction: float = 0.10, rng=None):
-    """Importance-sample only every stride-th past scan, oldest first.
-
-    past_states is ordered oldest to newest; offsets i = 1, 1 + stride, ...
-    (i = 1 is the oldest past scan) contribute points. Returns
-    (selections, skipped) where selections maps position -> indices and
-    skipped lists the positions of scans left out, for label backfill.
-    """
-    if stride < 2:
-        raise ValidationError("stride must be >= 2")
-    n_past = len(past_states)
-    chosen = set(range(0, n_past, stride))  # position 0 <=> offset i = 1
-    selections = {}
-    skipped = []
-    for pos, state in enumerate(past_states):
-        if pos in chosen:
-            selections[pos] = sample_importance(state, fraction=fraction, rng=rng)
-        else:
-            skipped.append(pos)
-    return selections, skipped
 
 
 def backfill_skipped(
@@ -248,12 +183,6 @@ def backfill_skipped(
     return included_semantic[best], included_instance[best]
 
 
-def _per_scan_thing_budget(config: VolumeConfig, n_current: int, n_past: int):
-    if config.max_points is None or n_past == 0:
-        return None
-    return max(0, (config.max_points - n_current) // n_past)
-
-
 def build_volume(
     current_coords: np.ndarray,
     current_index: int,
@@ -266,6 +195,16 @@ def build_volume(
 
     past_states must be ordered oldest to newest and cover exactly the scans
     max(0, t - tau + 1) .. t - 1 (fewer at the start of a sequence).
+
+    One loop picks every past point. It samples each past scan, oldest first,
+    or under "stride" every stride-th one; the rest become skipped_scans. A
+    sampled scan of N points gives at most k points, where k is
+    ceil(fraction * N) ("importance", "stride"), its temporal_decay_shares
+    entry of ceil(fraction * all past points) ("decay"), or
+    (max_points - current points) // n_past ("thing"; no limit without
+    max_points). "thing" takes the scan's predicted thing points, a uniform
+    draw of k of them when they exceed k; the others draw
+    weighted_sample(objectness, k).
     """
     config.validate()
     n_past = len(past_states)
@@ -282,27 +221,33 @@ def build_volume(
         if state.scan_index != expect_first + pos:
             raise ValidationError("past states must be consecutive scans")
 
-    selections, skipped = {}, []  # past position -> sorted point indices
-    if n_past > 0:
-        if config.strategy == "thing":
-            budget = _per_scan_thing_budget(config, current_coords.shape[0], n_past)
-            selections = {pos: sample_thing_prop(state, thing_classes, budget=budget, rng=rng)
-                          for pos, state in enumerate(past_states)}
-        elif config.strategy == "importance":
-            selections = {pos: sample_importance(state, fraction=config.fraction, rng=rng)
-                          for pos, state in enumerate(past_states)}
-        elif config.strategy == "decay":
-            total = int(np.ceil(config.fraction * sum(len(s) for s in past_states)))
-            selections = dict(enumerate(sample_temporal_decay(past_states, total, rng)))
-        elif config.strategy == "stride":
-            selections, skipped = sample_strided(
-                past_states, stride=config.stride, fraction=config.fraction, rng=rng
-            )
+    # each past scan's point budget, by position
+    if config.strategy == "decay":
+        budgets = temporal_decay_shares(
+            n_past, int(np.ceil(config.fraction * sum(len(s) for s in past_states))))
+    elif config.strategy == "thing":
+        things = sorted({int(c) for c in thing_classes})
+        if n_past and not things:
+            raise ValidationError("thing class set must be non-empty")
+        limit = None if config.max_points is None or not n_past else max(
+            0, (config.max_points - current_coords.shape[0]) // n_past)
+        budgets = [limit] * n_past
+    else:
+        budgets = [int(np.ceil(config.fraction * len(s))) for s in past_states]
+    sampled = range(0, n_past, config.stride if config.strategy == "stride" else 1)
 
     # (slot, scan, xyz, point indices) per scan, oldest first: rows come out
     # sorted by (scan, point)
-    blocks = [(pos, past_states[pos].scan_index, past_states[pos].coords[idx], idx)
-              for pos, idx in sorted(selections.items())]
+    blocks = []
+    for pos in sampled:
+        state, k = past_states[pos], budgets[pos]
+        if config.strategy == "thing":
+            idx = np.flatnonzero(np.isin(state.semantic, things))
+            if k is not None and idx.size > k:
+                idx = np.sort(rng.choice(idx, size=k, replace=False))
+        else:
+            idx = weighted_sample(state.objectness, k, rng)
+        blocks.append((pos, state.scan_index, state.coords[idx], idx))
     blocks.append((n_past, current_index, current_coords, np.arange(current_coords.shape[0])))
     coords = np.vstack([np.column_stack([xyz, np.full(idx.size, slot)])
                         for slot, _, xyz, idx in blocks])
@@ -313,5 +258,5 @@ def build_volume(
         coords=coords,
         origin=origin,
         window=(expect_first, current_index),
-        skipped_scans=[past_states[pos].scan_index for pos in skipped],
+        skipped_scans=[s.scan_index for pos, s in enumerate(past_states) if pos not in sampled],
     )

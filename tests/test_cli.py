@@ -1,15 +1,17 @@
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 import yaml
 
-from pan4d import cli
+from pan4d import cli, kitti_io
 from pan4d.cli import main
 from pan4d.clustering import ClusterParams, read_cluster_fields, write_cluster_fields
 from pan4d.config import RunConfig
+from pan4d.kitti_io import PanopticLabels
+from pan4d.metrics import EvalConfig, evaluate
 from pan4d.volume import VolumeConfig
 
 from conftest import CAR, PERSON
@@ -219,6 +221,62 @@ class TestEvaluateConfigKeys:
         _, data_dir = dataset
         assert self.evaluate(data_dir, tmp_path, {"tau": 3, "strategy": "decay"}) == 0
         assert json.loads((tmp_path / "report.json").read_text())["lstq"] == 1.0
+
+
+def write_two_sequences(root):
+    """gt and pred label streams of sequences "a" (2 scans, pred exact) and
+    "b" (3 scans, pred noisy), laid out as `pan4d evaluate` reads them."""
+    rng = np.random.default_rng(4)
+    streams = {"gt": {}, "pred": {}}
+    for seq, n_scans, noise in (("a", 2, 0.0), ("b", 3, 0.4)):
+        for side in streams:
+            streams[side][seq] = []
+        for i in range(n_scans):
+            sem = rng.choice([CAR, PERSON, 40], size=60)
+            inst = np.where(sem == 40, 0, 1 + (np.arange(60) >= 30))
+            gt = PanopticLabels(semantic=sem, instance=inst)
+            flip = rng.random(60) < noise
+            pred = PanopticLabels(semantic=np.where(flip, 40, sem),
+                                  instance=np.where(flip, 0, inst + 6))
+            for side, labels, sub in (("gt", gt, "labels"), ("pred", pred, "predictions")):
+                (root / side / seq / sub).mkdir(parents=True, exist_ok=True)
+                kitti_io.write_labels(labels, root / side / seq / sub / f"{i:06d}.label")
+                streams[side][seq].append(labels)
+    return streams
+
+
+class TestEvaluateConfigEvalKeys:
+    """`pq_match_threshold` and `per_sequence` in a class map reach the report."""
+
+    CLASS_MAP = {"classes": [CAR, PERSON, 40], "things": [CAR, PERSON]}
+
+    def evaluate(self, tmp_path, extra):
+        path = tmp_path / "eval.yaml"
+        path.write_text(yaml.safe_dump({**self.CLASS_MAP, **extra}))
+        return main(["evaluate", "--gt", str(tmp_path / "gt"), "--pred", str(tmp_path / "pred"),
+                     "--sequences", "a,b", "--config", str(path),
+                     "--report", str(tmp_path / "report.txt")])
+
+    def test_per_sequence_report_is_evaluates(self, tmp_path):
+        streams = write_two_sequences(tmp_path)
+        assert self.evaluate(tmp_path, {"per_sequence": True, "pq_match_threshold": 0.6}) == 0
+        got = (tmp_path / "report.txt").read_text()
+        config = EvalConfig(classes=(CAR, PERSON, 40), things=frozenset({CAR, PERSON}),
+                            pq_match_threshold=0.6, per_sequence=True)
+        want = tmp_path / "want.txt"
+        evaluate(streams["gt"], streams["pred"], config).write_text(want)
+        assert got == want.read_text()
+        for key, default in (("per_sequence", False), ("pq_match_threshold", 0.5)):
+            other = tmp_path / f"{key}.txt"  # each key changes the scores
+            evaluate(streams["gt"], streams["pred"],
+                     replace(config, **{key: default})).write_text(other)
+            assert got != other.read_text()
+
+    def test_bad_pq_match_threshold_exits_one(self, tmp_path, capsys):
+        write_two_sequences(tmp_path)
+        assert self.evaluate(tmp_path, {"pq_match_threshold": "abc"}) == 1
+        assert "pq_match_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
 
 
 class TestSceneSpec:

@@ -27,10 +27,10 @@ def window(window_id, entries, scans):
     arr = np.asarray(entries, dtype=np.int64)
     return WindowResult(
         window_id=window_id,
-        scan_idx=arr[:, 0],
-        point_idx=arr[:, 1],
-        instance=arr[:, 2],
+        coords=np.zeros((arr.shape[0], 3)),
+        origin=arr[:, :2],
         semantic=arr[:, 3],
+        instance=arr[:, 2],
         scans=frozenset(scans),
     )
 

@@ -13,11 +13,8 @@ from pan4d.volume import (
     align_scan,
     backfill_skipped,
     build_volume,
-    sample_importance,
-    sample_strided,
-    sample_temporal_decay,
-    sample_thing_prop,
     temporal_decay_shares,
+    weighted_sample,
 )
 
 from conftest import random_rigid
@@ -62,30 +59,42 @@ class TestAlignScan:
             np.testing.assert_allclose(align_scan(pts, Pose(matrix=m)), expected, atol=1e-9)
 
 
+def volume_of(states, strategy, seed=0, n_current=5, things=(CAR,), **config):
+    """The volume of scan len(states) over the past states, at tau = len(states) + 1."""
+    cfg = VolumeConfig(strategy=strategy, tau=len(states) + 1, **config)
+    return build_volume(np.zeros((n_current, 3)), len(states), states, cfg,
+                        np.random.default_rng(seed), thing_classes=things)
+
+
+def rows_of(vol, scan):
+    """The point indices the volume holds of one scan."""
+    return vol.origin[vol.origin[:, 0] == scan, 1]
+
+
 class TestThingPropagation:
     def test_selects_exactly_thing_points(self):
         sem = np.array([ROAD] * 7 + [CAR] * 3)
         state = make_state(0, np.zeros((10, 3)), semantic=sem)
-        idx = sample_thing_prop(state, {CAR})
-        np.testing.assert_array_equal(idx, [7, 8, 9])
+        np.testing.assert_array_equal(rows_of(volume_of([state], "thing"), 0), [7, 8, 9])
 
     def test_no_thing_points(self):
         state = make_state(0, np.zeros((5, 3)))
-        assert sample_thing_prop(state, {CAR}).size == 0
+        assert rows_of(volume_of([state], "thing"), 0).size == 0
 
     def test_budget_subsamples_deterministically(self):
+        # max_points 7 less 5 current points leaves 2 for the one past scan
         sem = np.array([CAR, ROAD, CAR, CAR])
         state = make_state(0, np.zeros((4, 3)), semantic=sem)
-        a = sample_thing_prop(state, {CAR}, budget=2, rng=np.random.default_rng(9))
-        b = sample_thing_prop(state, {CAR}, budget=2, rng=np.random.default_rng(9))
+        a = rows_of(volume_of([state], "thing", seed=9, max_points=7), 0)
+        b = rows_of(volume_of([state], "thing", seed=9, max_points=7), 0)
         assert a.size == 2
         np.testing.assert_array_equal(a, b)
         assert set(a) <= {0, 2, 3}
 
     def test_empty_thing_set_rejected(self):
         state = make_state(0, np.zeros((5, 3)))
-        with pytest.raises(ValidationError):
-            sample_thing_prop(state, set())
+        with pytest.raises(ValidationError, match="thing class set"):
+            volume_of([state], "thing", things=set())
 
 
 class TestImportanceSampling:
@@ -93,29 +102,25 @@ class TestImportanceSampling:
         obj = np.zeros(10)
         obj[7] = 1.0
         state = make_state(0, np.zeros((10, 3)), objectness=obj)
-        idx = sample_importance(state, fraction=0.1, rng=np.random.default_rng(0))
-        np.testing.assert_array_equal(idx, [7])
+        vol = volume_of([state], "importance", fraction=0.1)
+        np.testing.assert_array_equal(rows_of(vol, 0), [7])
 
     def test_count_rule(self):
         state = make_state(0, np.zeros((10, 3)), objectness=np.full(10, 0.5))
-        idx = sample_importance(state, fraction=0.10, rng=np.random.default_rng(1))
-        assert idx.size == 1
+        assert rows_of(volume_of([state], "importance", seed=1, fraction=0.10), 0).size == 1
 
     def test_all_zero_objectness_falls_back_to_uniform(self):
         state = make_state(0, np.zeros((20, 3)))
-        idx = sample_importance(state, fraction=0.25, rng=np.random.default_rng(2))
-        assert idx.size == 5
+        assert rows_of(volume_of([state], "importance", seed=2, fraction=0.25), 0).size == 5
 
     def test_uniform_weights_empirically_uniform(self):
-        # Monte-Carlo frequency oracle: with uniform objectness each index is
+        # Monte-Carlo frequency oracle: with uniform weights each index is
         # selected with probability k/N; check counts within 3 sigma.
-        n, fraction, trials = 10, 0.3, 10_000
-        k = int(np.ceil(fraction * n))
-        state = make_state(0, np.zeros((n, 3)), objectness=np.full(n, 0.4))
+        n, k, trials = 10, 3, 10_000
+        weights = np.full(n, 0.4)
         counts = np.zeros(n)
         for t in range(trials):
-            idx = sample_importance(state, fraction, np.random.default_rng(t))
-            counts[idx] += 1
+            counts[weighted_sample(weights, k, np.random.default_rng(t))] += 1
         p = k / n
         sigma = np.sqrt(trials * p * (1 - p))
         assert np.abs(counts - trials * p).max() < 3 * sigma
@@ -124,9 +129,27 @@ class TestImportanceSampling:
         rng = np.random.default_rng(123)
         obj = rng.uniform(size=100)
         state = make_state(0, np.zeros((100, 3)), objectness=obj)
-        a = sample_importance(state, 0.1, np.random.default_rng(42))
-        b = sample_importance(state, 0.1, np.random.default_rng(42))
+        a = rows_of(volume_of([state], "importance", seed=42), 0)
+        b = rows_of(volume_of([state], "importance", seed=42), 0)
+        assert a.size == 10
         np.testing.assert_array_equal(a, b)
+
+
+class TestWeightedSample:
+    def test_fewer_positive_weights_than_k(self):
+        # 4 positive weights, k = 7: every positive index, then 3 distinct
+        # zero-weight ones
+        w = np.zeros(40)
+        positive = [3, 11, 25, 38]
+        w[positive] = [0.2, 0.9, 0.05, 1.0]
+        for seed in range(50):
+            idx = weighted_sample(w, 7, np.random.default_rng(seed))
+            assert idx.size == 7
+            assert set(positive) <= set(idx.tolist())
+            rest = np.setdiff1d(idx, positive)
+            assert rest.size == 3 and (w[rest] == 0).all()
+            np.testing.assert_array_equal(
+                idx, weighted_sample(w, 7, np.random.default_rng(seed)))
 
 
 class TestTemporalDecay:
@@ -143,20 +166,23 @@ class TestTemporalDecay:
         np.testing.assert_array_equal(temporal_decay_shares(1, 50), [50])
 
     def test_zero_budget(self):
-        states = [make_state(0, np.zeros((10, 3))), make_state(1, np.zeros((10, 3)))]
-        picks = sample_temporal_decay(states, 0, np.random.default_rng(0))
-        assert all(p.size == 0 for p in picks)
+        # build_volume never asks for it (fraction > 0), but the shares allow it
+        np.testing.assert_array_equal(temporal_decay_shares(3, 0), [0, 0, 0])
 
     def test_budget_beyond_available_takes_all(self):
-        states = [make_state(0, np.zeros((3, 3))), make_state(1, np.zeros((4, 3)))]
-        picks = sample_temporal_decay(states, 1000, np.random.default_rng(0))
-        assert picks[0].size == 3
-        assert picks[1].size == 4
+        # 103 points at fraction 1 share out as [28, 75]: the 3-point scan's
+        # share exceeds it, so it enters whole
+        states = [make_state(0, np.zeros((3, 3))), make_state(1, np.zeros((100, 3)))]
+        vol = volume_of(states, "decay", fraction=1.0)
+        np.testing.assert_array_equal(rows_of(vol, 0), [0, 1, 2])
+        assert rows_of(vol, 1).size == 75
 
     def test_nearest_scan_gets_more(self):
+        # 300 past points at fraction 0.2 share out as 60 in all
         states = [make_state(i, np.zeros((100, 3))) for i in range(3)]
-        picks = sample_temporal_decay(states, 60, np.random.default_rng(0))
-        assert picks[0].size < picks[1].size < picks[2].size
+        vol = volume_of(states, "decay", fraction=0.2)
+        sizes = [rows_of(vol, i).size for i in range(3)]
+        assert sizes[0] < sizes[1] < sizes[2] and sum(sizes) == 60
 
 
 class TestStridedSampling:
@@ -164,23 +190,20 @@ class TestStridedSampling:
         # past positions 0,1,2 correspond to offsets i = 1,2,3; stride 2
         # keeps i = 1,3 and skips i = 2
         states = [make_state(i, np.zeros((10, 3))) for i in range(3)]
-        sel, skipped = sample_strided(states, stride=2, fraction=0.5,
-                                      rng=np.random.default_rng(0))
-        assert sorted(sel) == [0, 2]
-        assert skipped == [1]
+        vol = volume_of(states, "stride", stride=2, fraction=0.5)
+        assert [rows_of(vol, i).size for i in range(3)] == [5, 0, 5]
+        assert vol.skipped_scans == [1]
 
     def test_tau2_nothing_skipped(self):
-        states = [make_state(0, np.zeros((10, 3)))]
-        sel, skipped = sample_strided(states, rng=np.random.default_rng(0))
-        assert sorted(sel) == [0]
-        assert skipped == []
+        vol = volume_of([make_state(0, np.zeros((10, 3)))], "stride")
+        assert rows_of(vol, 0).size == 1
+        assert vol.skipped_scans == []
 
     def test_stride_beyond_window_keeps_only_oldest(self):
         states = [make_state(i, np.zeros((10, 3))) for i in range(3)]
-        sel, skipped = sample_strided(states, stride=5, fraction=0.5,
-                                      rng=np.random.default_rng(0))
-        assert sorted(sel) == [0]
-        assert skipped == [1, 2]
+        vol = volume_of(states, "stride", stride=5, fraction=0.5)
+        assert [rows_of(vol, i).size for i in range(3)] == [5, 0, 0]
+        assert vol.skipped_scans == [1, 2]
 
 
 class TestBackfill:
@@ -315,6 +338,28 @@ class TestBuildVolume:
         with pytest.raises(ValidationError):
             build_volume(rng.normal(size=(50, 3)), 5, states, cfg,
                          np.random.default_rng(0))
+
+    def test_more_past_states_than_tau_rejected(self):
+        rng = np.random.default_rng(9)
+        cfg = VolumeConfig(strategy="importance", tau=3)
+        states = self._states(rng, 0, 3, n=50)
+        with pytest.raises(ValidationError, match="3 past scans exceed window tau=3"):
+            build_volume(rng.normal(size=(50, 3)), 3, states, cfg, np.random.default_rng(0))
+
+    def test_gap_in_past_states_rejected(self):
+        rng = np.random.default_rng(9)
+        cfg = VolumeConfig(strategy="importance", tau=4)
+        states = self._states(rng, 0, 3, n=50)
+        with pytest.raises(ValidationError, match="consecutive"):
+            build_volume(rng.normal(size=(50, 3)), 3, [states[0], states[2]], cfg,
+                         np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["objectness", "semantic"])
+    def test_past_state_field_length_mismatch_rejected(self, name):
+        fields = {"objectness": np.zeros(5), "semantic": np.full(5, ROAD)}
+        fields[name] = fields[name][:4]
+        with pytest.raises(ValidationError, match=f"{name} length 4 != 5 points"):
+            PastScanState(scan_index=0, coords=np.zeros((5, 3)), **fields)
 
     def test_base_strategy_has_no_past(self):
         rng = np.random.default_rng(10)
