@@ -57,7 +57,7 @@ from .synth import (
 )
 from .tracking import TrackLedger, WindowResult, associate_windows, run_online_pipeline
 from .volume import (
-    PastScanState,
+    ScanState,
     Volume4D,
     VolumeConfig,
     align_scan,

@@ -21,7 +21,8 @@ import yaml
 
 from . import kitti_io
 from .clustering import read_cluster_fields
-from .config import RUN_PARAMS, eval_config_from_dict, load_yaml, run_config_from_sources
+from .config import (RUN_PARAMS, eval_config_from_dict, load_yaml, run_config_from_sources,
+                     sequence_names)
 from .errors import FormatError, Pan4DError, ValidationError
 from .losses import check_gradients
 from .metrics import evaluate, lstq
@@ -51,8 +52,7 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed, created):
                           "predictions from")
 
     def fields_fn(i):
-        cf = read_cluster_fields(seq.fields_path(i))
-        return cf.embeddings, cf.variances, cf.objectness
+        return read_cluster_fields(seq.fields_path(i))
 
     def semantics_fn(i):
         return seq.labels(i).semantic
@@ -147,7 +147,7 @@ def cmd_evaluate(args) -> int:
     if not (args.gt and args.pred and args.config and args.report):
         raise ValidationError("cmd_evaluate needs --gt, --pred, --config and --report")
     cfg = eval_config_from_dict(load_yaml(args.config))
-    sequences = [s for s in (args.sequences or "").split(",") if s] or [""]
+    sequences = sequence_names("sequences", args.sequences) or [""]
 
     gt_streams, pred_streams = {}, {}
     for seq in sequences:

@@ -4,7 +4,9 @@ Instances are modeled as Gaussian probability distributions: the unassigned
 point with the highest objectness seeds a cluster, the remaining points are
 evaluated under the seed's diagonal Gaussian, and points above the assignment
 probability join. Small instances are pruned afterwards and each instance's
-class is settled by majority vote.
+class is settled by majority vote. Clustering's output is one instance id per
+point (InstanceAssignment): the members of instance k are the points whose id
+is k, so every point belongs to at most one instance.
 
 A point can pass a seed's assignment test only inside a Euclidean ball around
 the seed (see `cluster_volume`), so each seed scores just the unassigned
@@ -105,16 +107,16 @@ class ClusterParams:
 
 @dataclass
 class InstanceAssignment:
-    """Result of clustering: instance id per point (0 = unassigned)."""
+    """Result of clustering: instance id per point (0 = unassigned). The
+    members of instance k are the points whose id is k."""
 
     instance_ids: np.ndarray  # (M,) int64, contiguous ids 1..K
     seeds: list = field(default_factory=list)  # seed point index per instance
-    members: list = field(default_factory=list)  # index arrays per instance
     classes: list = field(default_factory=list)  # majority class per instance
 
     @property
     def n_instances(self):
-        return len(self.members)
+        return len(self.seeds)
 
 
 def build_point_features(volume_coords: np.ndarray, embeddings, variances,
@@ -189,16 +191,12 @@ def _member_radii(variances: np.ndarray, params: ClusterParams) -> np.ndarray:
     return np.sqrt((maha * (1.0 + 1e-9) + 1e-9) * variances.max(axis=1))
 
 
-def _prune(m, seeds, members, min_points) -> InstanceAssignment:
+def _prune(ids, seeds, min_points) -> InstanceAssignment:
     """Dissolve instances below min_points; survivors are renumbered 1..K."""
-    final_ids = np.zeros(m, dtype=np.int64)
-    kept_seeds, kept_members = [], []
-    for seed, mem in zip(seeds, members):
-        if mem.size >= min_points:
-            kept_seeds.append(seed)
-            kept_members.append(mem)
-            final_ids[mem] = len(kept_members)
-    return InstanceAssignment(instance_ids=final_ids, seeds=kept_seeds, members=kept_members)
+    keep = np.bincount(ids, minlength=len(seeds) + 1)[1:] >= min_points
+    new_id = np.r_[0, np.cumsum(keep) * keep]  # 0 for the unassigned and the dissolved
+    return InstanceAssignment(instance_ids=new_id[ids],
+                              seeds=[s for s, k in zip(seeds, keep) if k])
 
 
 def _block_seeds(features, variances, cand, radius, params) -> np.ndarray:
@@ -263,9 +261,8 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
         ValidationError: bad params, or inputs that break `check_fields`.
     """
     _check_volume(features, variances, objectness, params)
-    m = features.shape[0]
-    assigned = np.zeros(m, dtype=bool)
-    seeds, members = [], []
+    ids = np.zeros(features.shape[0], dtype=np.int64)
+    seeds = []
     obj = np.asarray(objectness, dtype=np.float64)
     order = np.argsort(-obj, kind="stable")[: np.count_nonzero(obj >= params.seed_stop)]
     # the sliding-midpoint tree builds in about half the time of the default
@@ -273,7 +270,7 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
     tree = cKDTree(features, balanced_tree=False, compact_nodes=False) if order.size else None
     for start in range(0, order.size, SEED_BLOCK):
         cand = order[start:start + SEED_BLOCK]
-        cand = cand[~assigned[cand]]
+        cand = cand[ids[cand] == 0]
         if not cand.size:
             continue
         cand_radii = _member_radii(variances[cand], params)
@@ -285,7 +282,7 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
         rows = np.fromiter(itertools.chain.from_iterable(balls), dtype=np.intp,
                            count=sizes.sum())
         rank = np.repeat(np.arange(len(balls)), sizes)  # the seed of each ball row
-        free = ~assigned[rows]
+        free = ids[rows] == 0
         rank, rows = rank[free], rows[free]
         owner = block_seeds[rank]
         p = gaussian_affinity(features[owner], features[rows], variances[owner],
@@ -294,13 +291,10 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
         rank, rows = rank[take], rows[take]
         # the pairs are in (seed, point) order, so a point's first pair is its
         # earliest seed that takes it
-        first = np.sort(np.unique(rows, return_index=True)[1])
-        rank, rows = rank[first], rows[first]
-        assigned[rows] = True
+        rows, first = np.unique(rows, return_index=True)
+        ids[rows] = len(seeds) + 1 + rank[first]
         seeds.extend(block_seeds.tolist())
-        ends = np.cumsum(np.bincount(rank, minlength=block_seeds.size)).tolist()
-        members.extend(rows[a:b] for a, b in zip([0] + ends, ends))
-    return _prune(m, seeds, members, params.min_points)
+    return _prune(ids, seeds, params.min_points)
 
 
 def reference_cluster_volume(features: np.ndarray, variances: np.ndarray,
@@ -311,10 +305,9 @@ def reference_cluster_volume(features: np.ndarray, variances: np.ndarray,
     best objectness and computes the seed's affinity to all of them.
     """
     _check_volume(features, variances, objectness, params)
-    m = features.shape[0]
-    ids = np.zeros(m, dtype=np.int64)
-    obj = np.asarray(objectness, dtype=np.float64).copy()
-    seeds, members = [], []
+    ids = np.zeros(features.shape[0], dtype=np.int64)
+    obj = np.asarray(objectness, dtype=np.float64)
+    seeds = []
 
     while True:
         unassigned = np.flatnonzero(ids == 0)
@@ -331,12 +324,10 @@ def reference_cluster_volume(features: np.ndarray, variances: np.ndarray,
         take = unassigned[p > params.assign_prob]
         if seed not in take:  # the seed itself always joins its cluster
             take = np.append(take, seed)
-        new_id = len(seeds) + 1
-        ids[take] = new_id
         seeds.append(int(seed))
-        members.append(np.sort(take))
+        ids[take] = len(seeds)
 
-    return _prune(m, seeds, members, params.min_points)
+    return _prune(ids, seeds, params.min_points)
 
 
 def majority_vote_classes(assignment: InstanceAssignment, semantic: np.ndarray,
@@ -347,19 +338,17 @@ def majority_vote_classes(assignment: InstanceAssignment, semantic: np.ndarray,
     class are dissolved: members keep their semantics, instance ids reset to 0
     and the survivors are renumbered. One count of the (instance, class) pairs
     of all members, packed into one int64 key, settles every instance. So
-    members must be disjoint, as cluster_volume makes them, and their class
-    ids must lie in [0, LABEL_FIELD_MAX], the range of a label's class field.
+    member class ids must lie in [0, LABEL_FIELD_MAX], the range of a label's
+    class field.
     """
-    k = assignment.n_instances
-    ids = np.zeros_like(assignment.instance_ids)
-    if k == 0:
-        return InstanceAssignment(instance_ids=ids)
-    points = np.concatenate(assignment.members)
-    owner = np.repeat(np.arange(k), [len(m) for m in assignment.members])
+    ids = assignment.instance_ids
+    if assignment.n_instances == 0:
+        return InstanceAssignment(instance_ids=np.zeros_like(ids))
+    points = np.flatnonzero(ids)
     sem = np.asarray(semantic, dtype=np.int64)[points]
     if sem.min() < 0 or sem.max() > LABEL_FIELD_MAX:
         raise ValidationError(f"member class ids must lie in [0, {LABEL_FIELD_MAX}]")
-    pairs, counts = np.unique(owner << 16 | sem, return_counts=True)
+    pairs, counts = np.unique(ids[points] << 16 | sem, return_counts=True)
     inst = pairs >> 16
     # per instance, the largest count first; the stable sort keeps equal
     # counts in increasing class order, so the smaller class wins a tie
@@ -367,13 +356,10 @@ def majority_vote_classes(assignment: InstanceAssignment, semantic: np.ndarray,
     first = order[np.r_[True, inst[order[1:]] != inst[order[:-1]]]]
     modal = pairs[first] & LABEL_FIELD_MAX
     keep = ~np.isin(modal, list(stuff_classes))
-    new_id = np.cumsum(keep) * keep  # 1..K' for the survivors, 0 when dissolved
-    ids[points] = new_id[owner]
-    kept = np.flatnonzero(keep).tolist()
+    new_id = np.r_[0, np.cumsum(keep) * keep]  # 1..K' for the survivors, 0 when dissolved
     return InstanceAssignment(
-        instance_ids=ids,
-        seeds=[assignment.seeds[i] for i in kept],
-        members=[assignment.members[i] for i in kept],
+        instance_ids=new_id[ids],
+        seeds=[s for s, k in zip(assignment.seeds, keep) if k],
         classes=modal[keep].tolist(),
     )
 

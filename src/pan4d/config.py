@@ -21,6 +21,7 @@ nor in FILE_KEYS.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -63,6 +64,28 @@ def coerce(key, value, type_name: str):
     raise ValidationError(f"{key}: expected {type_name}, got {value!r}")
 
 
+def path_component(key, name: str) -> str:
+    """name, or a ValidationError naming key unless name is one plain path
+    component, so that the directory it names stays inside its root."""
+    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ValidationError(f"{key}: expected one plain path component, got {name!r}")
+    return name
+
+
+def sequence_names(key, value) -> list:
+    """The sequence names of value (None, a comma-separated string or a list):
+    each one plain path component, and none named twice."""
+    if isinstance(value, str):
+        value = [s for s in value.split(",") if s]
+    elif not isinstance(value, (list, tuple, type(None))):
+        raise ValidationError(f"{key}: expected sequence names, got {value!r}")
+    names = [path_component(key, coerce(key, v, "str")) for v in value or ()]
+    repeated = [n for k, n in enumerate(names) if n in names[:k]]
+    if repeated:
+        raise ValidationError(f"{key}: sequence {repeated[0]!r} named twice")
+    return names
+
+
 def _class_ids(key, values, kind=(list, tuple)):
     """Each class id of values (a list; for names, a mapping's keys) through
     coerce(); a scalar where a list belongs fails too."""
@@ -88,10 +111,8 @@ def eval_config_from_dict(data: dict) -> EvalConfig:
         raise ValidationError(f"config is missing required key {exc}") from exc
     if "ignore" in data:
         kwargs["ignore"] = frozenset(_class_ids("ignore", data["ignore"]))
-    if data.get("names"):
-        names = data["names"]
-        kwargs["class_names"] = dict(zip(_class_ids("names", names, dict),
-                                         map(str, names.values())))
+    if data.get("names"):  # display names: checked, but no report prints them
+        _class_ids("names", data["names"], dict)
     for f in fields(EvalConfig):
         if f.name in ("pq_match_threshold", "per_sequence") and f.name in data:
             kwargs[f.name] = coerce(f.name, data[f.name], f.type)
@@ -149,13 +170,9 @@ def run_config_from_sources(file_data: dict, overrides: dict) -> RunConfig:
         return {f.name: coerce(f.name, merged[f.name], f.type)
                 for f in _params(cls) if f.name in merged}
 
-    sequences = merged.get("sequences") or []
-    if isinstance(sequences, str):
-        sequences = [s for s in sequences.split(",") if s]
-
     return RunConfig(
         **{k: str(merged[k]) for k in ("data_dir", "out_dir") if k in merged},
-        sequences=list(sequences),
+        sequences=sequence_names("sequences", merged.get("sequences")),
         volume=VolumeConfig(**values(VolumeConfig)),
         cluster=ClusterParams(**values(ClusterParams)),
         eval_config=eval_config_from_dict(merged) if "classes" in merged else None,

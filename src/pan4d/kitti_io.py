@@ -29,8 +29,6 @@ LABEL_FIELD_MAX = 0xFFFF  # semantic class and instance id each fill 16 bits of 
 # its worker threads have been idle
 TRANSFORM_BLOCK_ROWS = 8192
 
-DEFAULT_IGNORE_CLASSES = frozenset({0})
-
 
 @dataclass(frozen=True)
 class Scan:

@@ -38,7 +38,6 @@ class EvalConfig:
     ignore: frozenset = frozenset({0})
     pq_match_threshold: float = 0.5
     per_sequence: bool = False  # average stream scores per sequence
-    class_names: dict = field(default_factory=dict)
 
     def __post_init__(self):
         classes = set(self.classes)
@@ -52,9 +51,6 @@ class EvalConfig:
     @property
     def stuff(self):
         return frozenset(self.classes) - self.things
-
-    def name(self, c):
-        return self.class_names.get(c, str(c))
 
 
 def _as_arrays(item):

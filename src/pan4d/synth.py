@@ -19,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .clustering import write_cluster_fields
-from .config import coerce
+from .config import coerce, path_component
 from .errors import ValidationError
 from .kitti_io import PanopticLabels, Pose, Scan, write_labels, write_point_scan
 from .losses import InstanceGroundTruth, objectness_target
@@ -356,9 +356,7 @@ def scene_spec_from_dict(data: dict):
     does a name that is not one plain path component.
     """
     data = dict(data)
-    name = coerce("name", data.pop("name", SEQUENCE_NAME), "str")
-    if name in ("", ".", "..") or any(sep and sep in name for sep in (os.sep, os.altsep)):
-        raise ValidationError(f"name: expected one plain path component, got {name!r}")
+    name = path_component("name", coerce("name", data.pop("name", SEQUENCE_NAME), "str"))
     objects = data.pop("objects", SceneSpec.objects)
     if not isinstance(objects, (list, tuple)):
         raise ValidationError(f"objects: expected a list, got {objects!r}")

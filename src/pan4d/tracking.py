@@ -15,8 +15,8 @@ covers them for association and the order holds. Each scan is emitted once,
 by the first window that contains it: its rows are one slice of the table,
 and its other points copy their nearest row, with distance ties going to the
 lowest (scan, point). Emitted labels go to the caller at once; the pipeline keeps one
-record per scan of the current window, with the scan's emitted classes as a
-PastScanState built once, when it is emitted.
+ScanState per scan of the current window, built when the scan is loaded, and
+records the scan's emitted classes in it when it is emitted.
 """
 
 from __future__ import annotations
@@ -27,17 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import (
-    ClusterParams,
-    build_point_features,
-    check_fields,
-    cluster_volume,
-    majority_vote_classes,
-)
+from .clustering import ClusterParams, build_point_features, cluster_volume, majority_vote_classes
 from .errors import ValidationError
 from .kitti_io import LABEL_FIELD_MAX, PanopticLabels
 from .metrics import _counts, _pair_counts, greedy_match
-from .volume import PastScanState, Volume4D, VolumeConfig, align_scan, backfill_skipped, build_volume
+from .volume import ScanState, Volume4D, VolumeConfig, align_scan, backfill_skipped, build_volume
 
 log = logging.getLogger(__name__)
 
@@ -127,30 +121,14 @@ class PipelineResult:
     stats: dict
 
 
-@dataclass
-class _ScanRecord:
-    """What the pipeline keeps of one scan of the current window."""
-
-    coords: np.ndarray  # (N, 3) aligned to the world frame
-    fields: tuple  # (embeddings, variances, objectness)
-    semantic: np.ndarray  # (N,) predicted classes
-    state: PastScanState | None = None  # its emitted classes, once emitted
-
-
 def _load_scan(seq, s, fields_fn, semantics_fn):
-    """The record of scan s, with every field value checked once, here."""
-    scan = seq.scan(s)
-    emb, var, obj = fields_fn(s)
-    sem = np.asarray(semantics_fn(s), dtype=np.int64)
+    """The ScanState of scan s; a value that its fields or the state reject
+    fails naming the scan."""
     try:
-        check_fields(emb, var, obj)
+        return ScanState(s, align_scan(seq.scan(s), seq.pose(s)), fields_fn(s),
+                         np.asarray(semantics_fn(s), dtype=np.int64))
     except ValidationError as exc:
         raise ValidationError(f"scan {s}: {exc}") from exc
-    if not (len(scan) == emb.shape[0] == sem.shape[0]):
-        raise ValidationError(f"scan {s}: fields/semantics length mismatch")
-    if sem.size and (sem.min() < 0 or sem.max() > LABEL_FIELD_MAX):
-        raise ValidationError(f"scan {s}: predicted class ids must lie in [0, {LABEL_FIELD_MAX}]")
-    return _ScanRecord(align_scan(scan, seq.pose(s)), (emb, var, obj), sem)
 
 
 def _scan_rows(origin, s):
@@ -159,15 +137,17 @@ def _scan_rows(origin, s):
 
 
 def _fields_for_volume(volume: Volume4D, scans):
-    """Gather per-point embeddings/variances/objectness/semantics for a volume."""
-    m = len(volume)
-    d = scans[volume.window[1]].fields[0].shape[1]
-    out = (np.empty((m, d)), np.empty((m, d)), np.empty(m), np.empty(m, dtype=np.int64))
-    for s in range(volume.window[0], volume.window[1] + 1):
-        rows = _scan_rows(volume.origin, s)
-        for dst, src in zip(out, (*scans[s].fields, scans[s].semantic)):
-            dst[rows] = src[volume.origin[rows, 1]]
-    return out
+    """The (embeddings, variances, objectness, predicted class) of every volume
+    row, in row order: one take per scan of the window, as float64 and int64,
+    the types clustering computes in. Embeddings and variances are None
+    unless every scan of the window has them."""
+    states = [scans[s] for s in range(volume.window[0], volume.window[1] + 1)]
+    points = [volume.origin[_scan_rows(volume.origin, st.scan_index), 1] for st in states]
+    columns = zip(*[(st.fields.embeddings, st.fields.variances, st.fields.objectness,
+                     st.semantic) for st in states])
+    return tuple(None if any(c is None for c in col)
+                 else np.concatenate([c[p] for c, p in zip(col, points)], dtype=dtype)
+                 for col, dtype in zip(columns, (np.float64,) * 3 + (np.int64,)))
 
 
 def run_online_pipeline(
@@ -187,7 +167,9 @@ def run_online_pipeline(
 
     Args:
         seq: SequenceHandle (scans + poses).
-        fields_fn: scan index -> (embeddings NxD, variances NxD, objectness N).
+        fields_fn: scan index -> ClusterFields of its N points; its
+            construction is the one check of the field values. Coordinate-only
+            fields (embeddings None) suit the "xyz" and "xyzt" feature modes.
         semantics_fn: scan index -> predicted class id per point.
         volume_config, cluster_params: see their modules.
         thing_classes, stuff_classes: class id partitions.
@@ -218,7 +200,7 @@ def run_online_pipeline(
 
     ledger = TrackLedger()
     prev_result = None
-    scans = {}  # scan index -> _ScanRecord, for the scans of the current window
+    scans = {}  # scan index -> ScanState, for the scans of the current window
     labels = None
     if emit is None:
         labels = [None] * n_scans
@@ -237,13 +219,13 @@ def run_online_pipeline(
             if s not in scans:
                 scans[s] = _load_scan(seq, s, fields_fn, semantics_fn)
 
-        states = [scans[s].state for s in window[:-1] if scans[s].state is not None]
+        states = [scans[s] for s in window[:-1] if scans[s].emitted is not None]
         rng = np.random.default_rng([seed, t])
         volume = build_volume(scans[t].coords, t, states, volume_config, rng, thing_classes)
         peak_points = max(peak_points, len(volume))
 
         v_emb, v_var, v_obj, sem = _fields_for_volume(volume, scans)
-        # rows of scans checked at load; cluster_volume checks the volume's inputs
+        # each scan's fields were checked when built; cluster_volume checks the volume's inputs
         feats, variances = build_point_features(volume.coords, v_emb, v_var, cluster_params)
         assignment = cluster_volume(feats, variances, v_obj, cluster_params)
         assignment = majority_vote_classes(assignment, sem, stuff_classes)
@@ -278,11 +260,9 @@ def run_online_pipeline(
         cur_result.instance = to_global[cur_result.instance]
 
         for s in window:
-            record = scans[s]
-            if record.state is None:
-                scan_labels = _emit_scan(s, record.coords, cur_result)
-                record.state = PastScanState(s, record.coords, record.fields[2],
-                                             scan_labels.semantic)
+            if scans[s].emitted is None:
+                scan_labels = _emit_scan(s, scans[s].coords, cur_result)
+                scans[s].emitted = scan_labels.semantic
                 emit(s, scan_labels)
         cur_result.coords = None  # association reads none: free them before the next window
         prev_result = cur_result

@@ -4,6 +4,9 @@ A volume covers the temporal window {max(0, t - tau + 1), ..., t}. The newest
 scan always enters in full; points from past scans are selected by one of four
 strategies ("thing", "importance", "decay", "stride"; "base" keeps tau = 1).
 Each volume point carries (x, y, z, t) with t its window slot (0 = oldest).
+Every scan of the window is one ScanState, built once when the scan is
+loaded: its world coordinates, its checked ClusterFields, its predicted
+classes, and, once the scan is emitted, its final classes.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .clustering import check_fields
+from .clustering import ClusterFields
 from .errors import InvariantError, ValidationError
-from .kitti_io import Pose, Scan
+from .kitti_io import LABEL_FIELD_MAX, Pose, Scan
 
 STRATEGIES = ("base", "thing", "importance", "decay", "stride")
 
@@ -52,21 +55,27 @@ class VolumeConfig:
 
 
 @dataclass
-class PastScanState:
-    """Per-point state of an already processed scan, in world coordinates."""
+class ScanState:
+    """One loaded scan of the window: what volume building, the field gather
+    and the vote read of it. The fields were checked when they were built;
+    construction checks that every array has one row per point and that the
+    predicted classes fit a label's class field."""
 
     scan_index: int
     coords: np.ndarray  # (N, 3) world frame
-    objectness: np.ndarray  # (N,) in [0, 1]
+    fields: ClusterFields  # (N, ...) embeddings, variances, objectness
     semantic: np.ndarray  # (N,) predicted class ids
+    emitted: np.ndarray | None = None  # (N,) final class ids, once emitted
 
     def __post_init__(self):
+        if not isinstance(self.fields, ClusterFields):
+            raise ValidationError(f"fields must be ClusterFields, got {type(self.fields).__name__}")
         n = self.coords.shape[0]
-        for name in ("objectness", "semantic"):
-            arr = getattr(self, name)
-            if arr.shape[0] != n:
-                raise ValidationError(f"{name} length {arr.shape[0]} != {n} points")
-        check_fields(None, None, self.objectness)
+        for name, size in (("objectness", len(self.fields)), ("semantic", self.semantic.shape[0])):
+            if size != n:
+                raise ValidationError(f"{name} length {size} != {n} points")
+        if n and (self.semantic.min() < 0 or self.semantic.max() > LABEL_FIELD_MAX):
+            raise ValidationError(f"predicted class ids must lie in [0, {LABEL_FIELD_MAX}]")
 
     def __len__(self):
         return self.coords.shape[0]
@@ -193,8 +202,9 @@ def build_volume(
 ) -> Volume4D:
     """Assemble one 4D volume from the aligned current scan and past states.
 
-    past_states must be ordered oldest to newest and cover exactly the scans
-    max(0, t - tau + 1) .. t - 1 (fewer at the start of a sequence).
+    past_states are ScanStates, ordered oldest to newest, that cover exactly
+    the scans max(0, t - tau + 1) .. t - 1 (fewer at the start of a sequence).
+    Each must have been emitted: "thing" reads its emitted classes.
 
     One loop picks every past point. It samples each past scan, oldest first,
     or under "stride" every stride-th one; the rest become skipped_scans. A
@@ -202,7 +212,7 @@ def build_volume(
     ceil(fraction * N) ("importance", "stride"), its temporal_decay_shares
     entry of ceil(fraction * all past points) ("decay"), or
     (max_points - current points) // n_past ("thing"; no limit without
-    max_points). "thing" takes the scan's predicted thing points, a uniform
+    max_points). "thing" takes the scan's emitted thing points, a uniform
     draw of k of them when they exceed k; the others draw
     weighted_sample(objectness, k).
     """
@@ -220,6 +230,8 @@ def build_volume(
     for pos, state in enumerate(past_states):
         if state.scan_index != expect_first + pos:
             raise ValidationError("past states must be consecutive scans")
+        if state.emitted is None:
+            raise ValidationError(f"past scan {state.scan_index} was never emitted")
 
     # each past scan's point budget, by position
     if config.strategy == "decay":
@@ -242,11 +254,11 @@ def build_volume(
     for pos in sampled:
         state, k = past_states[pos], budgets[pos]
         if config.strategy == "thing":
-            idx = np.flatnonzero(np.isin(state.semantic, things))
+            idx = np.flatnonzero(np.isin(state.emitted, things))
             if k is not None and idx.size > k:
                 idx = np.sort(rng.choice(idx, size=k, replace=False))
         else:
-            idx = weighted_sample(state.objectness, k, rng)
+            idx = weighted_sample(state.fields.objectness, k, rng)
         blocks.append((pos, state.scan_index, state.coords[idx], idx))
     blocks.append((n_past, current_index, current_coords, np.arange(current_coords.shape[0])))
     coords = np.vstack([np.column_stack([xyz, np.full(idx.size, slot)])

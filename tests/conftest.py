@@ -1,7 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from pan4d import clustering
+from pan4d.clustering import ClusterFields
 from pan4d.metrics import EvalConfig
 
 # derandomized: the same examples on every run, and no per-example deadline,
@@ -60,9 +64,25 @@ def oracle_providers(data):
     """(fields_fn, semantics_fn) backed by a SequenceData's oracle arrays."""
 
     def fields_fn(i):
-        return data.fields[i]
+        return ClusterFields(*data.fields[i])
 
     def semantics_fn(i):
         return data.labels[i].semantic
 
     return fields_fn, semantics_fn
+
+
+def count_field_checks(monkeypatch):
+    """A list that gets one entry per `check_fields` call, through every
+    loaded pan4d module that binds the function."""
+    calls = []
+    check = clustering.check_fields
+
+    def counting_check(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pan4d" and getattr(module, "check_fields", None) is check:
+            monkeypatch.setattr(module, "check_fields", counting_check)
+    return calls

@@ -10,11 +10,12 @@ from pan4d import cli, kitti_io
 from pan4d.cli import main
 from pan4d.clustering import ClusterParams, read_cluster_fields, write_cluster_fields
 from pan4d.config import RunConfig
+from pan4d.errors import InvariantError
 from pan4d.kitti_io import PanopticLabels
 from pan4d.metrics import EvalConfig, evaluate
 from pan4d.volume import VolumeConfig
 
-from conftest import CAR, PERSON
+from conftest import CAR, PERSON, count_field_checks
 
 
 SCENE = {
@@ -198,6 +199,135 @@ class TestFailedRunLeavesNoOutput:
         out = tmp_path / "out"
         assert self.run(data_dir, out, "00,01", threads) == 1
         assert not list(out.rglob("predictions"))
+
+
+def _edit_poses(seq, edit):
+    path = seq / "poses.txt"
+    path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
+
+
+def _last(directory):
+    return sorted(directory.iterdir())[-1]
+
+
+def _write_then_break_invariant(monkeypatch):
+    write = kitti_io.write_labels
+
+    def write_then_fail(labels, path):
+        write(labels, path)
+        raise InvariantError("a label write broke an invariant")
+
+    monkeypatch.setattr(kitti_io, "write_labels", write_then_fail)
+
+
+# case -> (command, fault, exit code, message): fault(seq, pred, monkeypatch)
+# spoils the copy of sequence 00 at seq, or its predictions at pred
+FILE_FAULTS = {
+    "run-no-fields-dir": (
+        "run", lambda seq, pred, mp: shutil.rmtree(seq / "fields"), 2, "no fields/"),
+    "run-no-labels-dir": (
+        "run", lambda seq, pred, mp: shutil.rmtree(seq / "labels"), 2, "no labels/"),
+    "run-label-size-not-multiple-of-4": (
+        "run", lambda seq, pred, mp: _last(seq / "labels").write_bytes(b"\0" * 7), 2,
+        "not a multiple of 4"),
+    "run-non-numeric-pose": (
+        "run", lambda seq, pred, mp: _edit_poses(seq, lambda ls: ["x" + ls[0][1:], *ls[1:]]),
+        2, "could not convert"),
+    "run-fewer-label-files-than-scans": (
+        "run", lambda seq, pred, mp: _last(seq / "labels").unlink(), 2, "11 label files"),
+    "run-fewer-sidecars-than-scans": (
+        "run", lambda seq, pred, mp: _last(seq / "fields").unlink(), 2, "11 fields files"),
+    "run-fewer-poses-than-scans": (
+        "run", lambda seq, pred, mp: _edit_poses(seq, lambda ls: ls[:-1]), 2, "only 11 poses"),
+    "run-invariant-broken": (
+        "run", lambda seq, pred, mp: _write_then_break_invariant(mp), 3, "internal error"),
+    "evaluate-no-prediction-dir": (
+        "evaluate", lambda seq, pred, mp: shutil.rmtree(pred), 2, "no predictions/"),
+    "evaluate-no-gt-labels": (
+        "evaluate", lambda seq, pred, mp: shutil.rmtree(seq / "labels"), 2,
+        "missing ground-truth"),
+    "evaluate-file-sets-differ": (
+        "evaluate", lambda seq, pred, mp: _last(pred).unlink(), 2, "file sets differ"),
+}
+
+
+class TestFileFaults:
+    """Each fault at the file boundary exits with its documented code, and
+    the command leaves no file in its output directory."""
+
+    @pytest.mark.parametrize("case", FILE_FAULTS)
+    def test_exit_code_and_nothing_written(self, case, dataset, tmp_path, monkeypatch, capsys):
+        command, fault, code, message = FILE_FAULTS[case]
+        _, data_dir = dataset
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        pred = tmp_path / "pred" / "00" / "predictions"
+        shutil.copytree(data / "00" / "labels", pred)
+        fault(data / "00", pred, monkeypatch)
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {
+            "run": ["run", "--data", str(data), "--out", str(out), "--strategy", "importance",
+                    "--tau", "4", "--feature-mode", "emb"],
+            "evaluate": ["evaluate", "--gt", str(data), "--pred", str(tmp_path / "pred"),
+                         "--report", str(out / "report.txt")],
+        }[command]
+        assert main([*argv, "--sequences", "00", "--config", str(data / "classes.yaml")]) == code
+        assert message in capsys.readouterr().err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+class TestSequenceNames:
+    """A sequence name is one plain path component, named once; any other
+    exits 1 before a file is written."""
+
+    def files(self, root):
+        return sorted(p for p in root.rglob("*") if p.is_file())
+
+    def main(self, command, root, names):
+        if command == "run":
+            argv = ["run", "--data", str(root / "data"), "--out", str(root / "out"),
+                    "--feature-mode", "emb"]
+        else:
+            argv = ["evaluate", "--gt", str(root / "data"), "--pred", str(root / "data"),
+                    "--report", str(root / "out" / "report.txt")]
+        return main([*argv, "--config", str(root / "data" / "classes.yaml"), *names])
+
+    @pytest.mark.parametrize("command", ["run", "evaluate"])
+    @pytest.mark.parametrize("names", ["00,00", "../data/00", "..", "00/"])
+    def test_flag_exits_one_and_writes_nothing(self, command, names, dataset, tmp_path,
+                                               capsys):
+        _, data_dir = dataset
+        shutil.copytree(data_dir, tmp_path / "data")
+        (tmp_path / "out").mkdir()
+        before = self.files(tmp_path)
+        assert self.main(command, tmp_path, ["--sequences", names]) == 1
+        assert capsys.readouterr().err.startswith("error: sequences")
+        assert self.files(tmp_path) == before
+
+    @pytest.mark.parametrize("names", [["00", "00"], ["../data/00"], [0], "00,00"])
+    def test_config_file_exits_one_and_writes_nothing(self, names, dataset, tmp_path, capsys):
+        _, data_dir = dataset
+        shutil.copytree(data_dir, tmp_path / "data")
+        config = tmp_path / "data" / "classes.yaml"
+        config.write_text(yaml.safe_dump({**yaml.safe_load(config.read_text()),
+                                          "sequences": names}))
+        before = self.files(tmp_path)
+        assert self.main("run", tmp_path, []) == 1
+        assert capsys.readouterr().err.startswith("error: sequences")
+        assert self.files(tmp_path) == before
+
+
+class TestFieldChecks:
+    def test_four_scan_run_checks_fields_eight_times(self, tmp_path, monkeypatch):
+        spec = tmp_path / "scene.yaml"
+        spec.write_text(yaml.safe_dump(dict(SCENE, n_scans=4)))
+        data = tmp_path / "data"
+        assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+        calls = count_field_checks(monkeypatch)
+        assert run_pipeline(data, tmp_path / "out") == 0
+        # one per sidecar read, then one cluster_volume check per window
+        assert len(calls) == 8
 
 
 class TestEvaluateConfigKeys:

@@ -19,7 +19,7 @@ from pan4d.clustering import (
     write_cluster_fields,
 )
 from pan4d.errors import FormatError, ValidationError
-from pan4d.volume import PastScanState
+from pan4d.volume import ScanState
 
 from conftest import random_rigid
 
@@ -97,7 +97,8 @@ class TestClusterFieldsValues:
         with pytest.raises(ValidationError, match="objectness must be finite and in"):
             cluster_volume(np.zeros((2, 2)), np.ones((2, 2)), obj, ClusterParams())
         with pytest.raises(ValidationError, match="objectness must be finite and in"):
-            PastScanState(0, np.zeros((2, 3)), obj, np.zeros(2, dtype=np.int64))
+            ScanState(0, np.zeros((2, 3)), ClusterFields(None, None, obj),
+                      np.zeros(2, dtype=np.int64))
 
 
 class TestGaussianAffinity:
@@ -236,12 +237,11 @@ class TestClusterVolume:
         obj = rng.uniform(size=200)
         out = cluster_volume(feats, np.ones_like(feats), obj,
                              ClusterParams(min_points=1))
-        seen = np.zeros(200, dtype=int)
-        for mem in out.members:
-            seen[mem] += 1
-        assert seen.max() <= 1
-        for k, mem in enumerate(out.members, start=1):
-            assert (out.instance_ids[mem] == k).all()
+        # ids 0..K, each of 1..K held by at least its seed
+        assert out.instance_ids.min() >= 0
+        assert out.instance_ids.max() == out.n_instances
+        np.testing.assert_array_equal(out.instance_ids[out.seeds],
+                                      np.arange(1, out.n_instances + 1))
 
     def test_rigid_transform_invariance_xyzt(self):
         # equal variances on xyzt: distances are preserved, so is the partition
@@ -315,9 +315,6 @@ class TestMatchesReference:
         fast = cluster_volume(feats, variances, obj, params)
         slow = reference_cluster_volume(feats, variances, obj, params)
         assert fast.seeds == slow.seeds
-        assert len(fast.members) == len(slow.members)
-        for a, b in zip(fast.members, slow.members):
-            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -378,9 +375,6 @@ class TestMatchesReferenceAcrossBlocks:
             fast = cluster_volume(feats, variances, obj, params)
         slow = reference_cluster_volume(feats, variances, obj, params)
         assert fast.seeds == slow.seeds
-        assert len(fast.members) == len(slow.members)
-        for a, b in zip(fast.members, slow.members):
-            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
 
 
@@ -412,17 +406,17 @@ def reference_majority_vote(assignment, semantic, stuff_classes=()):
     """majority_vote_classes as one np.unique per instance: the oracle."""
     stuff = set(int(c) for c in stuff_classes)
     ids = np.zeros_like(assignment.instance_ids)
-    seeds, members, classes = [], [], []
-    for seed, mem in zip(assignment.seeds, assignment.members):
+    seeds, classes = [], []
+    for k, seed in enumerate(assignment.seeds, start=1):
+        mem = assignment.instance_ids == k
         values, counts = np.unique(semantic[mem], return_counts=True)
         modal = int(values[counts == counts.max()].min())
         if modal in stuff:
             continue
         seeds.append(seed)
-        members.append(mem)
         classes.append(modal)
-        ids[mem] = len(members)
-    return InstanceAssignment(instance_ids=ids, seeds=seeds, members=members, classes=classes)
+        ids[mem] = len(seeds)
+    return InstanceAssignment(instance_ids=ids, seeds=seeds, classes=classes)
 
 
 @st.composite
@@ -437,20 +431,19 @@ def votes(draw):
                         dtype=np.int64)
     stuff = draw(st.sets(st.sampled_from([CAR, TRUCK, ROAD, 70, 99])))
     ids = np.zeros(m, dtype=np.int64)
-    members = []
-    for o in np.unique(owner[owner > 0]):  # instance o -> id in order of appearance
-        members.append(np.flatnonzero(owner == o))
-        ids[members[-1]] = len(members)
-    seeds = [int(mem[draw(st.integers(0, len(mem) - 1))]) for mem in members]
-    return InstanceAssignment(instance_ids=ids, seeds=seeds, members=members), semantic, stuff
+    seeds = []
+    for o in np.unique(owner[owner > 0]):  # instance o -> id in increasing o
+        members = np.flatnonzero(owner == o)
+        seeds.append(int(members[draw(st.integers(0, members.size - 1))]))
+        ids[members] = len(seeds)
+    return InstanceAssignment(instance_ids=ids, seeds=seeds), semantic, stuff
 
 
 class TestMajorityVoteMatchesReference:
     @settings(max_examples=300)
     @given(votes())
     @example((  # a tie, a stuff-modal instance, then one renumbered past it
-        InstanceAssignment(instance_ids=np.array([1, 1, 1, 1, 2, 2, 2, 3, 3]), seeds=[0, 4, 7],
-                           members=[np.arange(4), np.arange(4, 7), np.arange(7, 9)]),
+        InstanceAssignment(instance_ids=np.array([1, 1, 1, 1, 2, 2, 2, 3, 3]), seeds=[0, 4, 7]),
         np.array([TRUCK, CAR, TRUCK, CAR, ROAD, ROAD, CAR, TRUCK, ROAD]),
         {ROAD},
     ))
@@ -462,9 +455,6 @@ class TestMajorityVoteMatchesReference:
         assert fast.seeds == slow.seeds
         assert fast.classes == slow.classes
         assert all(type(c) is int for c in fast.classes)
-        assert len(fast.members) == len(slow.members)
-        for a, b in zip(fast.members, slow.members):
-            np.testing.assert_array_equal(a, b)
 
 
 class TestMajorityVote:

@@ -15,7 +15,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pan4d.clustering import ClusterParams
+from pan4d.clustering import ClusterFields, ClusterParams
 from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
 from pan4d.tracking import run_online_pipeline
 from pan4d.volume import VolumeConfig
@@ -94,7 +94,8 @@ def _providers(data):
         obj = obj.copy()
         background = data.labels[s].instance == 0
         obj[background] = rng.uniform(0.0, 0.5, background.sum())
-        return emb + rng.normal(scale=0.2, size=emb.shape).astype(np.float32), var, obj
+        return ClusterFields(emb + rng.normal(scale=0.2, size=emb.shape).astype(np.float32),
+                             var, obj)
 
     def semantics_fn(s):
         rng = np.random.default_rng([29, s])

@@ -1,4 +1,5 @@
 import logging
+import re
 import weakref
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pan4d import clustering, tracking
-from pan4d.clustering import ClusterParams
+from pan4d import tracking
+from pan4d.clustering import ClusterFields, ClusterParams
 from pan4d.errors import ValidationError
 from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
 from pan4d.tracking import (
@@ -19,7 +20,7 @@ from pan4d.tracking import (
 )
 from pan4d.volume import VolumeConfig
 
-from conftest import CAR, PERSON, ROAD, MemorySequence, oracle_providers
+from conftest import CAR, PERSON, ROAD, MemorySequence, count_field_checks, oracle_providers
 
 
 def window(window_id, entries, scans):
@@ -168,18 +169,19 @@ class TestOnlinePipeline:
             assert set(labels.semantic.tolist()) == {CAR}
 
     def test_each_past_state_built_once(self, monkeypatch):
-        built = []
-        state = tracking.PastScanState
-        monkeypatch.setattr(tracking, "PastScanState",
+        built, emitted = [], []
+        state = tracking.ScanState
+        monkeypatch.setattr(tracking, "ScanState",
                             lambda s, *args: (built.append(s), state(s, *args))[1])
         data = generate_sequence(single_object_scene(n_scans=8))
         run_online_pipeline(
             MemorySequence(data), *oracle_providers(data),
             VolumeConfig(strategy="importance", tau=4),
             oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+            emit=lambda s, labels: emitted.append(s),
         )
-        assert len(built) == len(set(built))
-        assert set(range(7)) <= set(built)  # every scan that is ever a past scan
+        assert built == list(range(8))  # one ScanState per scan
+        assert emitted == list(range(8))  # one emission each
 
     def test_tau_one_degenerates_to_fresh_ids_per_scan(self):
         data = generate_sequence(single_object_scene(n_scans=6))
@@ -429,6 +431,38 @@ class TestJoinSorted:
         np.testing.assert_array_equal(got_b, want_b)
 
 
+class TestCoordinateOnlyFields:
+    """Fields without embeddings (ClusterFields(None, None, objectness)) run
+    in the coordinate feature modes and fail cleanly in the others."""
+
+    def run(self, fields_fn_of, mode):
+        data = generate_sequence(single_object_scene(n_scans=6))
+        return run_online_pipeline(
+            MemorySequence(data), fields_fn_of(data), oracle_providers(data)[1],
+            VolumeConfig(strategy="importance", tau=3),
+            ClusterParams(feature_mode=mode, min_points=20),
+            thing_classes={CAR}, stuff_classes=set(), seed=0,
+        )
+
+    @staticmethod
+    def coordinate_only(data):
+        return lambda s: ClusterFields(None, None, data.fields[s][2])
+
+    @pytest.mark.parametrize("mode", ["xyz", "xyzt"])
+    def test_coordinate_modes_label_as_with_embeddings(self, mode):
+        got = self.run(self.coordinate_only, mode)
+        want = self.run(lambda data: oracle_providers(data)[0], mode)
+        assert got.n_instances == want.n_instances >= 1
+        for a, b in zip(got.labels, want.labels, strict=True):
+            np.testing.assert_array_equal(a.semantic, b.semantic)
+            np.testing.assert_array_equal(a.instance, b.instance)
+
+    @pytest.mark.parametrize("mode", ["emb", "emb+xyz", "emb+xyzt"])
+    def test_embedding_modes_rejected(self, mode):
+        with pytest.raises(ValidationError, match=re.escape(f"'{mode}' requires embeddings")):
+            self.run(self.coordinate_only, mode)
+
+
 class TestLoadScanValidation:
     """Bad library input fails naming its scan instead of reaching the labels."""
 
@@ -444,44 +478,36 @@ class TestLoadScanValidation:
     def test_nan_embedding_names_its_scan(self, window_stride):
         # at window stride 2 scan 1 enters no volume: only its load sees the NaN
         data = generate_sequence(single_object_scene(n_scans=4))
-        fields_fn, semantics_fn = oracle_providers(data)
+        semantics_fn = oracle_providers(data)[1]
 
         def bad_fields(s):
-            emb, var, obj = fields_fn(s)
+            emb, var, obj = data.fields[s]
             if s == 1:
                 emb = emb.copy()
                 emb[3, 0] = np.nan
-            return emb, var, obj
+            return ClusterFields(emb, var, obj)
 
         with pytest.raises(ValidationError, match="scan 1: non-finite embedding"):
             self.run(bad_fields, semantics_fn, data, window_stride)
 
     def test_fields_checked_once_per_scan_and_once_per_volume(self, monkeypatch):
-        calls = []
-
-        def counting_check(embeddings, *args, **kwargs):
-            if embeddings is not None:  # PastScanState checks objectness alone
-                calls.append(embeddings.shape[0])
-            return check(embeddings, *args, **kwargs)
-
-        check = clustering.check_fields
-        monkeypatch.setattr(clustering, "check_fields", counting_check)
-        monkeypatch.setattr(tracking, "check_fields", counting_check)
+        calls = count_field_checks(monkeypatch)
         data = generate_sequence(single_object_scene(n_scans=4))
         self.run(*oracle_providers(data), data)
-        # 4 scan loads, then one cluster_volume check for each of the 4 windows
+        # 4 ClusterFields built by fields_fn, then one cluster_volume check
+        # for each of the 4 windows
         assert len(calls) == 8
 
     @pytest.mark.parametrize("rows", ["double", 10])
     def test_variance_shape_mismatch(self, rows):
         data = generate_sequence(single_object_scene(n_scans=4))
-        fields_fn, semantics_fn = oracle_providers(data)
+        semantics_fn = oracle_providers(data)[1]
 
         def bad_fields(s):
-            emb, var, obj = fields_fn(s)
+            emb, var, obj = data.fields[s]
             if s == 2:
                 var = np.vstack([var, var]) if rows == "double" else var[:rows]
-            return emb, var, obj
+            return ClusterFields(emb, var, obj)
 
         with pytest.raises(ValidationError, match="scan 2: variances"):
             self.run(bad_fields, semantics_fn, data)

@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from pan4d import volume
+from pan4d.clustering import ClusterFields
 from pan4d.errors import InvariantError, ValidationError
 from pan4d.kitti_io import Pose
 from pan4d.volume import (
-    PastScanState,
+    ScanState,
     VolumeConfig,
     align_scan,
     backfill_skipped,
@@ -23,16 +24,18 @@ CAR, ROAD = 10, 40
 
 
 def make_state(scan_index, coords, objectness=None, semantic=None):
+    """An emitted past scan with coordinate-only fields; semantic is both its
+    predicted and its emitted classes."""
     n = coords.shape[0]
-    return PastScanState(
+    semantic = np.asarray(semantic if semantic is not None else np.full(n, ROAD),
+                          dtype=np.int64)
+    return ScanState(
         scan_index=scan_index,
         coords=np.asarray(coords, dtype=np.float64),
-        objectness=np.asarray(
-            objectness if objectness is not None else np.zeros(n), dtype=np.float64
-        ),
-        semantic=np.asarray(
-            semantic if semantic is not None else np.full(n, ROAD), dtype=np.int64
-        ),
+        fields=ClusterFields(None, None, np.asarray(
+            objectness if objectness is not None else np.zeros(n), dtype=np.float64)),
+        semantic=semantic,
+        emitted=semantic,
     )
 
 
@@ -356,10 +359,24 @@ class TestBuildVolume:
 
     @pytest.mark.parametrize("name", ["objectness", "semantic"])
     def test_past_state_field_length_mismatch_rejected(self, name):
-        fields = {"objectness": np.zeros(5), "semantic": np.full(5, ROAD)}
-        fields[name] = fields[name][:4]
+        arrays = {"objectness": np.zeros(5), "semantic": np.full(5, ROAD)}
+        arrays[name] = arrays[name][:4]
         with pytest.raises(ValidationError, match=f"{name} length 4 != 5 points"):
-            PastScanState(scan_index=0, coords=np.zeros((5, 3)), **fields)
+            ScanState(scan_index=0, coords=np.zeros((5, 3)),
+                      fields=ClusterFields(None, None, arrays["objectness"]),
+                      semantic=arrays["semantic"])
+
+    def test_past_state_never_emitted_rejected(self):
+        rng = np.random.default_rng(9)
+        states = self._states(rng, 0, 3, n=50)
+        states[1].emitted = None
+        with pytest.raises(ValidationError, match="past scan 1 was never emitted"):
+            build_volume(rng.normal(size=(50, 3)), 3, states, VolumeConfig(tau=4),
+                         np.random.default_rng(0))
+
+    def test_scan_state_needs_cluster_fields(self):
+        with pytest.raises(ValidationError, match="fields must be ClusterFields"):
+            ScanState(0, np.zeros((2, 3)), (None, None, np.zeros(2)), np.zeros(2, dtype=np.int64))
 
     def test_base_strategy_has_no_past(self):
         rng = np.random.default_rng(10)
