@@ -24,7 +24,6 @@ from .kitti_io import (
     write_point_scan,
 )
 from .losses import (
-    InstanceGroundTruth,
     balanced_class_sample,
     check_gradients,
     class_loss,
@@ -42,11 +41,7 @@ from .metrics import (
     evaluate,
     lstq,
     mots_from_counts,
-    mots_metrics,
-    panoptic_quality,
-    ptq_metrics,
-    s_assoc,
-    s_cls,
+    pq_from_counts,
 )
 from .synth import (
     ObjectSpec,

@@ -100,8 +100,9 @@ class ClusterParams:
             raise ValidationError("min_points must be >= 1")
         if self.feature_mode not in FEATURE_MODES:
             raise ValidationError(f"unknown feature_mode {self.feature_mode!r}")
-        if self.coord_variance <= 0 or self.time_variance <= 0:
-            raise ValidationError("coordinate variances must be positive")
+        for name in ("coord_variance", "time_variance"):
+            if getattr(self, name) <= 0:
+                raise ValidationError(f"{name} must be > 0")
         return self
 
 

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all pan4d modules.
 
-The CLI maps these onto exit codes: ValidationError -> 1, FormatError and
-OSError -> 2, InvariantError (and anything unexpected) -> 3.
+`cli.main` maps these onto exit codes: ValidationError -> 1, FormatError
+and OSError -> 2, InvariantError and any other Pan4DError -> 3. It catches
+no other exception: one raised from outside this hierarchy ends the command
+with its traceback.
 """
 
 

@@ -283,7 +283,8 @@ def load_sequence(seq_dir) -> SequenceHandle:
     """Open a sequence directory laid out as velodyne/ labels/ poses.txt calib.txt.
 
     Raises:
-        FormatError: missing velodyne directory, pose/scan count mismatch.
+        FormatError: missing velodyne directory, poses.txt or calib.txt, or
+            fewer poses than scans.
     """
     velo_dir = os.path.join(seq_dir, "velodyne")
     if not os.path.isdir(velo_dir):
@@ -306,14 +307,14 @@ def load_sequence(seq_dir) -> SequenceHandle:
 
     poses_path = os.path.join(seq_dir, "poses.txt")
     calib_path = os.path.join(seq_dir, "calib.txt")
-    if os.path.isfile(poses_path):
-        poses = read_poses(poses_path, calib_path)
-        if len(poses) < len(scan_paths):
-            raise FormatError(
-                f"{seq_dir}: {len(scan_paths)} scans but only {len(poses)} poses"
-            )
-    else:
-        poses = [Pose.identity() for _ in scan_paths]
+    for path in (poses_path, calib_path):
+        if not os.path.isfile(path):
+            raise FormatError(f"{seq_dir}: no {os.path.basename(path)}")
+    poses = read_poses(poses_path, calib_path)
+    if len(poses) < len(scan_paths):
+        raise FormatError(
+            f"{seq_dir}: {len(scan_paths)} scans but only {len(poses)} poses"
+        )
 
     return SequenceHandle(
         root=seq_dir,

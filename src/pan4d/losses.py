@@ -6,34 +6,23 @@ test suite verifies each gradient against central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ValidationError
 
 
-@dataclass
-class InstanceGroundTruth:
-    """Per-point instance ids over a volume; 0 means no instance."""
-
-    instance_ids: np.ndarray  # (N,) int
-
-    def __post_init__(self):
-        self.instance_ids = np.asarray(self.instance_ids, dtype=np.int64)
-        if self.instance_ids.ndim != 1:
-            raise ValidationError("instance ids must be a 1-d array")
-
-    def members(self):
-        """Yield (instance id, member index array), ids ascending."""
-        ids = self.instance_ids
-        for uid in np.unique(ids):
-            if uid == 0:
-                continue
-            yield int(uid), np.flatnonzero(ids == uid)
+def _members(instance_ids):
+    """[(instance id, member indices)] of a 1-d per-point id array, 0 meaning
+    no instance: ids ascending, indices ascending, from one stable argsort."""
+    ids = np.asarray(instance_ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise ValidationError("instance ids must be a 1-d array")
+    order = np.argsort(ids, kind="stable")
+    uniq, starts = np.unique(ids[order], return_index=True)
+    return [(uid, idx) for uid, idx in zip(uniq.tolist(), np.split(order, starts[1:])) if uid]
 
 
-def objectness_target(coords: np.ndarray, gt: InstanceGroundTruth) -> np.ndarray:
+def objectness_target(coords: np.ndarray, instance_ids: np.ndarray) -> np.ndarray:
     """Per-point objectness: 1 - d / d_max toward the instance center.
 
     d is the Euclidean distance from a member to its instance's center (mean
@@ -42,7 +31,7 @@ def objectness_target(coords: np.ndarray, gt: InstanceGroundTruth) -> np.ndarray
     """
     coords = np.asarray(coords, dtype=np.float64)
     o = np.zeros(coords.shape[0])
-    for _, idx in gt.members():
+    for _, idx in _members(instance_ids):
         center = coords[idx].mean(axis=0)
         d = np.linalg.norm(coords[idx] - center, axis=1)
         d_max = d.max()
@@ -66,7 +55,7 @@ def objectness_loss(pred: np.ndarray, target: np.ndarray):
     return float(np.sum(diff * diff)), 2.0 * diff
 
 
-def instance_loss(features: np.ndarray, variances: np.ndarray, gt: InstanceGroundTruth,
+def instance_loss(features: np.ndarray, variances: np.ndarray, instance_ids: np.ndarray,
                   normalized: bool = False):
     """Squared error between Gaussian memberships and the membership indicator.
 
@@ -88,7 +77,7 @@ def instance_loss(features: np.ndarray, variances: np.ndarray, gt: InstanceGroun
     loss = 0.0
     grad_x = np.zeros_like(x)
     grad_v = np.zeros_like(v)
-    for _, idx in gt.members():
+    for _, idx in _members(instance_ids):
         nj = idx.size
         mu = x[idx].mean(axis=0)
         var = v[idx].mean(axis=0)
@@ -113,7 +102,7 @@ def instance_loss(features: np.ndarray, variances: np.ndarray, gt: InstanceGroun
     return loss, grad_x, grad_v
 
 
-def variance_smoothness_loss(variances: np.ndarray, gt: InstanceGroundTruth):
+def variance_smoothness_loss(variances: np.ndarray, instance_ids: np.ndarray):
     """Mean squared deviation of member variances from their instance mean.
 
     Returns (loss, gradient wrt variances).
@@ -121,7 +110,7 @@ def variance_smoothness_loss(variances: np.ndarray, gt: InstanceGroundTruth):
     v = np.asarray(variances, dtype=np.float64)
     loss = 0.0
     grad = np.zeros_like(v)
-    for _, idx in gt.members():
+    for _, idx in _members(instance_ids):
         dev = v[idx] - v[idx].mean(axis=0)
         loss += float(np.sum(dev * dev)) / idx.size
         grad[idx] += 2.0 * dev / idx.size
@@ -236,7 +225,6 @@ def check_gradients(seed: int = 0, trials: int = 20, step: float = 1e-5,
         for j in range(1, n_inst + 1):  # keep every instance non-empty
             if not (ids == j).any():
                 ids[rng.integers(0, n)] = j
-        gt = InstanceGroundTruth(ids)
 
         pred = rng.uniform(0.0, 1.0, n)
         target = rng.uniform(0.0, 1.0, n)
@@ -247,19 +235,19 @@ def check_gradients(seed: int = 0, trials: int = 20, step: float = 1e-5,
         feats = rng.normal(size=(n, d))
         variances = rng.uniform(0.5, 2.0, size=(n, d))
         normalized = bool(rng.integers(0, 2))
-        _, gx, gv = instance_loss(feats, variances, gt, normalized=normalized)
+        _, gx, gv = instance_loss(feats, variances, ids, normalized=normalized)
         num_x = central_difference(
-            lambda x: instance_loss(x, variances, gt, normalized=normalized)[0],
+            lambda x: instance_loss(x, variances, ids, normalized=normalized)[0],
             feats.copy(), step)
         num_v = central_difference(
-            lambda v: instance_loss(feats, v, gt, normalized=normalized)[0],
+            lambda v: instance_loss(feats, v, ids, normalized=normalized)[0],
             variances.copy(), step)
         worst["instance/features"] = max(worst["instance/features"], _rel_err(gx, num_x))
         worst["instance/variances"] = max(worst["instance/variances"], _rel_err(gv, num_v))
 
-        _, gs = variance_smoothness_loss(variances, gt)
+        _, gs = variance_smoothness_loss(variances, ids)
         num_s = central_difference(
-            lambda v: variance_smoothness_loss(v, gt)[0], variances.copy(), step)
+            lambda v: variance_smoothness_loss(v, ids)[0], variances.copy(), step)
         worst["variance_smoothness"] = max(worst["variance_smoothness"], _rel_err(gs, num_s))
 
         n_cls = int(rng.integers(2, 7))

@@ -263,17 +263,13 @@ class PanopticEvaluator:
         for c in self.config.classes:
             stat = seg[c]
             tp, fp, fn, ids, iou_sum = (stat[k] for k in ("tp", "fp", "fn", "ids", "iou_sum"))
-            denom = tp + 0.5 * fp + 0.5 * fn
-            if denom == 0:
+            if not tp + fp + fn:
                 continue
-            pq_per_class[c] = {
-                "pq": iou_sum / denom, "sq": iou_sum / tp if tp else 0.0, "rq": tp / denom,
-                "tp": tp, "fp": fp, "fn": fn, "iou_sum": iou_sum,
-            }
+            q = pq_from_counts(tp, fp, fn, iou_sum, ids, stat["switch_iou"])
+            pq_per_class[c] = {"pq": q["pq"], "sq": q["sq"], "rq": q["rq"],
+                               "tp": tp, "fp": fp, "fn": fn, "iou_sum": iou_sum}
             if c in self.config.things:
-                pq_per_class[c].update(
-                    ptq_from_counts(tp, fp, fn, ids, iou_sum, stat["switch_iou"]), ids=ids
-                )
+                pq_per_class[c].update(ptq=q["ptq"], sptq=q["sptq"], ids=ids)
                 mots_per_class[c] = {
                     "tp": tp, "fp": fp, "fn": fn, "ids": ids, "gt_segments": tp + fn,
                     **mots_from_counts(tp, fp, fn, ids, iou_sum),
@@ -395,7 +391,7 @@ def _fmt(v):
     return str(v)
 
 
-# -- functional wrappers ----------------------------------------------------
+# -- formulas and whole-stream evaluation ------------------------------------
 
 
 _END = object()  # fill value past the end of the shorter stream
@@ -409,23 +405,6 @@ def _feed(ev, gt_stream, pred_stream, seq=""):
                 f"sequence {seq or '.'}: gt and pred streams differ in scan count"
             )
         ev.add_scan(gt, pred, seq=seq)
-
-
-def _report(gt_stream, pred_stream, config, pq_per_scan=True):
-    ev = PanopticEvaluator(config, pq_per_scan=pq_per_scan)
-    _feed(ev, gt_stream, pred_stream)
-    return ev.result()
-
-
-def s_cls(gt_stream, pred_stream, config: EvalConfig):
-    """Class-mean point IoU over the whole stream; returns (per_class, mean)."""
-    report = _report(gt_stream, pred_stream, config)
-    return report.iou_per_class, report.s_cls
-
-
-def s_assoc(gt_stream, pred_stream, config: EvalConfig) -> float:
-    """Streaming association score."""
-    return _report(gt_stream, pred_stream, config).s_assoc
 
 
 def lstq(s_cls_value: float, s_assoc_value: float) -> float:
@@ -468,34 +447,6 @@ def brute_force_s_assoc(gt_stream, pred_stream, config: EvalConfig) -> float:
     return total / len(gt_tubes)
 
 
-def panoptic_quality(gt_stream, pred_stream, config: EvalConfig, per_scan: bool = True):
-    """PQ/SQ/RQ/PQ-dagger; per_scan=True matches segments scan by scan."""
-    report = _report(gt_stream, pred_stream, config, pq_per_scan=per_scan)
-    return {
-        "pq": report.pq,
-        "sq": report.sq,
-        "rq": report.rq,
-        "pq_dagger": report.pq_dagger,
-        "per_class": report.pq_per_class,
-    }
-
-
-def mots_metrics(gt_stream, pred_stream, config: EvalConfig):
-    """Per-class MOTS counts and scores (things only)."""
-    return _report(gt_stream, pred_stream, config).mots_per_class
-
-
-def ptq_metrics(gt_stream, pred_stream, config: EvalConfig):
-    """Per-class and mean PTQ/sPTQ."""
-    report = _report(gt_stream, pred_stream, config)
-    per_class = {
-        c: {"ptq": v["ptq"], "sptq": v["sptq"], "ids": v["ids"]}
-        for c, v in report.pq_per_class.items()
-        if "ptq" in v
-    }
-    return {"ptq": report.ptq_mean, "sptq": report.sptq_mean, "per_class": per_class}
-
-
 def mots_from_counts(tp: int, fp: int, fn: int, ids: int, iou_sum: float | None = None):
     """MOTS scores straight from counts (the formula layer).
 
@@ -512,14 +463,19 @@ def mots_from_counts(tp: int, fp: int, fn: int, ids: int, iou_sum: float | None 
     return out
 
 
-def ptq_from_counts(tp: int, fp: int, fn: int, ids: int, iou_sum: float,
-                    switch_iou_sum: float):
-    """PTQ/sPTQ straight from counts; the soft variant subtracts the IoU of
-    switched segments instead of the switch count."""
+def pq_from_counts(tp: int, fp: int, fn: int, iou_sum: float, ids: int = 0,
+                   switch_iou_sum: float = 0.0):
+    """PQ, SQ, RQ, PTQ and sPTQ straight from segment counts (the formula layer).
+
+    All five share the denominator tp + fp/2 + fn/2, so at least one count
+    must be nonzero. PTQ subtracts the id switch count from iou_sum, sPTQ the
+    IoU of the switched segments instead.
+    """
     denom = tp + 0.5 * fp + 0.5 * fn
-    if denom == 0:
-        return {"ptq": 0.0, "sptq": 0.0}
     return {
+        "pq": iou_sum / denom,
+        "sq": iou_sum / tp if tp else 0.0,
+        "rq": tp / denom,
         "ptq": (iou_sum - ids) / denom,
         "sptq": (iou_sum - switch_iou_sum) / denom,
     }

@@ -22,7 +22,7 @@ from .clustering import write_cluster_fields
 from .config import coerce, path_component
 from .errors import ValidationError
 from .kitti_io import PanopticLabels, Pose, Scan, write_labels, write_point_scan
-from .losses import InstanceGroundTruth, objectness_target
+from .losses import objectness_target
 
 # capture radius multiplier: affinity exceeds 0.5 within this many oracle stds
 _CAPTURE = np.sqrt(2.0 * np.log(2.0))
@@ -203,7 +203,7 @@ def generate_sequence(spec: SceneSpec) -> SequenceData:
         labels.append(PanopticLabels(semantic=sem, instance=inst))
         poses.append(pose)
 
-        objectness = objectness_target(world, InstanceGroundTruth(inst))
+        objectness = objectness_target(world, inst)
         fields.append(
             (
                 world.astype(np.float32),

@@ -140,8 +140,17 @@ def _fields_for_volume(volume: Volume4D, scans):
     """The (embeddings, variances, objectness, predicted class) of every volume
     row, in row order: one take per scan of the window, as float64 and int64,
     the types clustering computes in. Embeddings and variances are None
-    unless every scan of the window has them."""
+    unless every scan of the window has them, and the scans that have them
+    must share one embedding dimension."""
     states = [scans[s] for s in range(volume.window[0], volume.window[1] + 1)]
+    dims = [(st.scan_index, st.fields.embeddings.shape[1])
+            for st in states if st.fields.embeddings is not None]
+    for (a, da), (b, db) in zip(dims, dims[1:]):
+        if da != db:
+            raise ValidationError(
+                f"scan {a} has {da}-d embeddings and scan {b} {db}-d; "
+                "the scans of a window must share one embedding dimension"
+            )
     points = [volume.origin[_scan_rows(volume.origin, st.scan_index), 1] for st in states]
     columns = zip(*[(st.fields.embeddings, st.fields.variances, st.fields.objectness,
                      st.semantic) for st in states])

@@ -25,9 +25,6 @@ from pan4d.metrics import (
     evaluate,
     lstq,
     mots_from_counts,
-    mots_metrics,
-    s_assoc,
-    s_cls,
 )
 from pan4d.synth import (
     ObjectSpec,
@@ -95,7 +92,7 @@ def test_criterion_3_s_assoc_oracle_equivalence(config):
             n_points = int(rng.integers(1, 51))
             n_ids = int(rng.integers(1, 6))
             gt, pred = random_stream(rng, n_scans, n_points, n_ids)
-            fast = s_assoc(gt, pred, config)
+            fast = evaluate({"": gt}, {"": pred}, config).s_assoc
             slow = brute_force_s_assoc(gt, pred, config)
             assert abs(fast - slow) <= 1e-12
         assert time.perf_counter() - t0 < 5.0
@@ -122,21 +119,20 @@ def test_criterion_4_closed_form_corruptions(config):
         split = split_tube(data.labels, tube_id=1, at_scan=5)
         pred = [(l.semantic, l.instance) for l in split]
         # intact tube contributes 1.0; the evenly split one exactly 0.5
-        assert s_assoc(gt, pred, config) == (1.0 + 0.5) / 2.0
+        assert evaluate({"": gt}, {"": pred}, config).s_assoc == (1.0 + 0.5) / 2.0
 
         flipped = flip_class(data.labels, fraction=0.3, thing_classes=(CAR, PERSON),
                              seed=3)
         pred = [(l.semantic, l.instance) for l in flipped]
-        assert abs(s_assoc(gt, pred, config) - 1.0) <= 1e-12
-        _, cls_mean = s_cls(gt, pred, config)
-        assert cls_mean < 1.0
+        report = evaluate({"": gt}, {"": pred}, config)
+        assert abs(report.s_assoc - 1.0) <= 1e-12
+        assert report.s_cls < 1.0
 
         switched = id_switch(data.labels, tube_id=1, at_scan=5)
         pred = [(l.semantic, l.instance) for l in switched]
-        out = mots_metrics(gt, pred, config)
-        assert sum(v["ids"] for v in out.values()) == 1
-        _, cls_mean = s_cls(gt, pred, config)
-        assert cls_mean == 1.0
+        report = evaluate({"": gt}, {"": pred}, config)
+        assert sum(v["ids"] for v in report.mots_per_class.values()) == 1
+        assert report.s_cls == 1.0
 
 
 def test_criterion_5_identity_suite(config):
@@ -153,13 +149,11 @@ def test_criterion_5_identity_suite(config):
         assert report.motsa_mean == 1.0
 
         empty = [(np.zeros_like(s), np.zeros_like(i)) for s, i in gt]
-        assert s_assoc(gt, empty, config) == 0.0
+        assert evaluate({"": gt}, {"": empty}, config).s_assoc == 0.0
 
 
 def test_criterion_6_relabeling_invariance(config):
     with criterion(6, "bijective relabeling of predicted ids changes nothing"):
-        from pan4d.metrics import panoptic_quality
-
         rng = np.random.default_rng(123)
         gt, pred = random_stream(rng, n_scans=6, n_points=50, n_ids=5)
         mapping = {1: 31, 2: 35, 3: 32, 4: 34, 5: 33}
@@ -167,14 +161,11 @@ def test_criterion_6_relabeling_invariance(config):
             (sem, np.vectorize(lambda v: mapping.get(int(v), int(v)))(inst))
             for sem, inst in pred
         ]
-        assert s_assoc(gt, pred, config) == pytest.approx(
-            s_assoc(gt, remapped, config), abs=1e-12
-        )
-        pq_a = panoptic_quality(gt, pred, config)
-        pq_b = panoptic_quality(gt, remapped, config)
-        assert pq_a["pq"] == pytest.approx(pq_b["pq"], abs=1e-12)
-        mots_a = mots_metrics(gt, pred, config)
-        mots_b = mots_metrics(gt, remapped, config)
+        a = evaluate({"": gt}, {"": pred}, config)
+        b = evaluate({"": gt}, {"": remapped}, config)
+        assert a.s_assoc == pytest.approx(b.s_assoc, abs=1e-12)
+        assert a.pq == pytest.approx(b.pq, abs=1e-12)
+        mots_a, mots_b = a.mots_per_class, b.mots_per_class
         for c in mots_a:
             assert mots_a[c]["motsa"] == pytest.approx(mots_b[c]["motsa"], abs=1e-12)
             assert mots_a[c]["ids"] == mots_b[c]["ids"]

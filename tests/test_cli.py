@@ -1,6 +1,8 @@
 import json
+import shlex
 import shutil
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,6 +127,32 @@ class TestEndToEnd:
                 assert fa.read_bytes() == fb.read_bytes()
 
 
+def _readme_block(readme, heading, lang):
+    """The first ```lang block after the heading line of README.md."""
+    rest = readme.split(f"\n{heading}\n", 1)[1]
+    return rest.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadmeCommands:
+    def test_command_block_runs(self, tmp_path, monkeypatch, capsys):
+        # every pan4d line of the README's command block, on its scene spec
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (tmp_path / "scene.yaml").write_text(_readme_block(readme, "### Scene spec (synth)",
+                                                           "yaml"))
+        monkeypatch.chdir(tmp_path)
+        lines = _readme_block(readme, "## Command line", "bash").replace("\\\n", " ")
+        commands = [line for line in lines.splitlines() if line.startswith("pan4d ")]
+        assert len(commands) == 6
+        printed = {}
+        for line in commands:
+            argv = shlex.split(line, comments=True)
+            assert main(argv[1:]) == 0, line
+            out = capsys.readouterr().out
+            if "# prints " in line:
+                printed[line.split("# prints ")[1].strip()] = out.strip()
+        assert printed == {"0.6274": "0.6274"}
+
+
 def spoil_last_sidecar(seq_dir, how):
     """Break the last scan's sidecar so the run fails only at that scan:
     a NaN embedding (an io error, exit 2) or one point too few (exit 1)."""
@@ -220,6 +248,13 @@ def _write_then_break_invariant(monkeypatch):
     monkeypatch.setattr(kitti_io, "write_labels", write_then_fail)
 
 
+def _double_embeddings(path):
+    """Rewrite a sidecar with its embeddings and variances repeated side by side."""
+    cf = read_cluster_fields(path)
+    write_cluster_fields(path, np.hstack([cf.embeddings] * 2), cf.objectness,
+                         np.hstack([cf.variances] * 2))
+
+
 # case -> (command, fault, exit code, message): fault(seq, pred, monkeypatch)
 # spoils the copy of sequence 00 at seq, or its predictions at pred
 FILE_FAULTS = {
@@ -239,6 +274,13 @@ FILE_FAULTS = {
         "run", lambda seq, pred, mp: _last(seq / "fields").unlink(), 2, "11 fields files"),
     "run-fewer-poses-than-scans": (
         "run", lambda seq, pred, mp: _edit_poses(seq, lambda ls: ls[:-1]), 2, "only 11 poses"),
+    "run-no-poses": (
+        "run", lambda seq, pred, mp: (seq / "poses.txt").unlink(), 2, "no poses.txt"),
+    "run-no-calib": (
+        "run", lambda seq, pred, mp: (seq / "calib.txt").unlink(), 2, "no calib.txt"),
+    "run-mixed-embedding-dims": (
+        "run", lambda seq, pred, mp: _double_embeddings(seq / "fields" / "000001.p4de"), 1,
+        "scan 0 has 3-d embeddings and scan 1 6-d"),
     "run-invariant-broken": (
         "run", lambda seq, pred, mp: _write_then_break_invariant(mp), 3, "internal error"),
     "evaluate-no-prediction-dir": (
@@ -674,12 +716,27 @@ class TestRunParameters:
         ({"seed_stop": "x"}, [], "seed_stop"),
         ({"normalized_pdf": "no"}, [], "normalized_pdf"),
         ({"fracton": 0.2}, [], "fracton"),
+        ({}, ["--tau", "0"], "tau"),
+        ({}, ["--stride", "1"], "stride"),
+        ({}, ["--tau", "1"], "tau"),  # importance samples past scans: tau >= 2
+        ({}, ["--coord-variance", "0"], "coord_variance"),
+        ({}, ["--time-variance", "0"], "time_variance"),
+        ({}, ["--assoc-iou", "1"], "assoc_iou"),
+        ({}, ["--threads", "0"], "threads"),
     ])
     def test_bad_value_or_key_exits_one(self, run_config, capsys, file_data, flags, key):
         code, cfg = run_config(file_data, *flags)
         assert code == 1
         assert cfg is None
         assert key in capsys.readouterr().err
+
+    def test_no_class_map_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump({"tau": 4}))
+        code = main(["run", "--data", str(tmp_path), "--out", str(tmp_path / "out"),
+                     "--config", str(path)])
+        assert code == 1
+        assert "class map" in capsys.readouterr().err
 
     @pytest.mark.parametrize("class_map, key", [
         ({"classes": ["car"]}, "classes"),

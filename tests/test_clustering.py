@@ -172,7 +172,6 @@ class TestClusterVolume:
     def test_exact_recovery_at_ten_sigma_separation(self):
         # spec boundary: isotropic blobs (3-sigma truncated) separated by
         # 10 sigma with the generator's oracle variance recover exactly
-        from pan4d.losses import InstanceGroundTruth, objectness_target
         from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
 
         sigma = 0.4

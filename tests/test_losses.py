@@ -3,7 +3,6 @@ import pytest
 
 from pan4d.errors import ValidationError
 from pan4d.losses import (
-    InstanceGroundTruth,
     balanced_class_sample,
     class_loss,
     instance_loss,
@@ -49,29 +48,46 @@ def random_problem(rng, n_max=100, d_max=6, n_instances=3):
             ids[rng.integers(0, n)] = j
     feats = rng.normal(size=(n, d))
     variances = rng.uniform(0.5, 2.0, size=(n, d))
-    return feats, variances, InstanceGroundTruth(ids)
+    return feats, variances, ids
 
 
 class TestObjectnessTarget:
     def test_symmetric_pair_is_zero_for_both(self):
         coords = np.array([[-1.0, 0, 0], [1.0, 0, 0]])
-        o = objectness_target(coords, InstanceGroundTruth([1, 1]))
+        o = objectness_target(coords, np.array([1, 1]))
         np.testing.assert_allclose(o, [0.0, 0.0])
 
     def test_single_point_instance(self):
-        o = objectness_target(np.array([[3.0, 4.0, 5.0]]), InstanceGroundTruth([1]))
+        o = objectness_target(np.array([[3.0, 4.0, 5.0]]), np.array([1]))
         np.testing.assert_allclose(o, [1.0])
 
     def test_three_collinear_points(self):
         # center = 1, distances (1, 0, 1), d_max = 1 -> o = (0, 1, 0)
         coords = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        o = objectness_target(coords, InstanceGroundTruth([1, 1, 1]))
+        o = objectness_target(coords, np.array([1, 1, 1]))
         np.testing.assert_allclose(o, [0.0, 1.0, 0.0])
 
     def test_non_instance_points_zero(self):
         coords = np.array([[0.0, 0, 0], [9.0, 0, 0], [11.0, 0, 0], [13.0, 0, 0]])
-        o = objectness_target(coords, InstanceGroundTruth([0, 1, 1, 1]))
+        o = objectness_target(coords, np.array([0, 1, 1, 1]))
         assert o[0] == 0.0
+
+    def test_equals_one_scan_per_instance_on_shuffled_ids(self):
+        # members come from one argsort; the result is the bytes that
+        # gathering each instance with its own full-array scan gives
+        rng = np.random.default_rng(11)
+        coords = rng.normal(size=(300, 3)) * 5.0
+        ids = rng.permutation(np.repeat([0, 9, 2, 40000, 7], [60, 90, 1, 70, 79]))
+        expected = np.zeros(300)
+        for uid in (2, 7, 9, 40000):
+            idx = np.flatnonzero(ids == uid)
+            d = np.linalg.norm(coords[idx] - coords[idx].mean(axis=0), axis=1)
+            expected[idx] = 1.0 - d / d.max() if d.max() else 1.0
+        np.testing.assert_array_equal(objectness_target(coords, ids), expected)
+
+    def test_ids_must_be_one_dimensional(self):
+        with pytest.raises(ValidationError, match="1-d"):
+            objectness_target(np.zeros((2, 3)), np.ones((2, 1), dtype=np.int64))
 
 
 class TestObjectnessLoss:
@@ -104,12 +120,12 @@ class TestInstanceLoss:
     def test_tight_instance_distant_outliers_near_zero(self):
         feats = np.vstack([np.zeros((5, 2)), np.full((3, 2), 30.0)])
         variances = np.ones_like(feats)
-        loss, _, _ = instance_loss(feats, variances, InstanceGroundTruth([1] * 5 + [0] * 3))
+        loss, _, _ = instance_loss(feats, variances, np.array([1] * 5 + [0] * 3))
         assert loss < 1e-12
 
     def test_single_point_single_instance_exact_zero(self):
         loss, gx, gv = instance_loss(
-            np.array([[1.5, -2.0]]), np.array([[1.0, 1.0]]), InstanceGroundTruth([1])
+            np.array([[1.5, -2.0]]), np.array([[1.0, 1.0]]), np.array([1])
         )
         assert loss == 0.0
         np.testing.assert_array_equal(gx, [[0.0, 0.0]])
@@ -117,7 +133,7 @@ class TestInstanceLoss:
 
     def test_non_positive_variance_rejected(self):
         with pytest.raises(ValidationError):
-            instance_loss(np.zeros((2, 1)), np.zeros((2, 1)), InstanceGroundTruth([1, 1]))
+            instance_loss(np.zeros((2, 1)), np.zeros((2, 1)), np.array([1, 1]))
 
     @pytest.mark.parametrize("normalized", [False, True])
     def test_gradients_match_finite_differences(self, normalized):
@@ -140,11 +156,11 @@ class TestInstanceLoss:
         base, _, _ = instance_loss(feats, variances, gt)
 
         perm = rng.permutation(feats.shape[0])
-        shuffled = InstanceGroundTruth(gt.instance_ids[perm])
+        shuffled = gt[perm]
         a, _, _ = instance_loss(feats[perm], variances[perm], shuffled)
 
         relabel = {0: 0, 1: 3, 2: 1, 3: 2}
-        renamed = InstanceGroundTruth([relabel[int(i)] for i in gt.instance_ids])
+        renamed = np.array([relabel[int(i)] for i in gt])
         b, _, _ = instance_loss(feats, variances, renamed)
 
         assert a == pytest.approx(base, rel=1e-12)
@@ -154,14 +170,14 @@ class TestInstanceLoss:
 class TestVarianceSmoothness:
     def test_uniform_variances_zero(self):
         v = np.full((6, 3), 1.3)
-        loss, grad = variance_smoothness_loss(v, InstanceGroundTruth([1, 1, 1, 2, 2, 2]))
+        loss, grad = variance_smoothness_loss(v, np.array([1, 1, 1, 2, 2, 2]))
         assert loss == 0.0
         np.testing.assert_array_equal(grad, np.zeros_like(v))
 
     def test_two_member_deviation(self):
         # mean 1, deviations (-1, +1): (1/2) * (1 + 1) = 1
         v = np.array([[0.0], [2.0]])
-        loss, _ = variance_smoothness_loss(v, InstanceGroundTruth([1, 1]))
+        loss, _ = variance_smoothness_loss(v, np.array([1, 1]))
         assert loss == pytest.approx(1.0)
 
     def test_gradient_matches_finite_differences(self):

@@ -16,12 +16,7 @@ from pan4d.metrics import (
     evaluate,
     lstq,
     mots_from_counts,
-    mots_metrics,
-    panoptic_quality,
-    ptq_from_counts,
-    ptq_metrics,
-    s_assoc,
-    s_cls,
+    pq_from_counts,
 )
 
 from conftest import CAR, PERSON, ROAD, stream
@@ -40,46 +35,46 @@ def random_stream(rng, n_scans=6, n_points=40, n_ids=5):
 class TestSCls:
     def test_perfect_prediction(self, eval_config):
         gt = stream(([CAR, CAR, ROAD], [1, 1, 0]))
-        per_class, mean = s_cls(gt, gt, eval_config)
-        assert mean == 1.0
-        assert per_class == {CAR: 1.0, ROAD: 1.0}
+        report = evaluate({"": gt}, {"": gt}, eval_config)
+        assert report.s_cls == 1.0
+        assert report.iou_per_class == {CAR: 1.0, ROAD: 1.0}
 
     def test_fully_wrong_prediction(self, eval_config):
         gt = stream(([CAR, CAR], [0, 0]))
         pred = stream(([ROAD, ROAD], [0, 0]))
-        _, mean = s_cls(gt, pred, eval_config)
+        mean = evaluate({"": gt}, {"": pred}, eval_config).s_cls
         assert mean == 0.0
 
     def test_counting_example(self, eval_config):
         # class CAR: TP=3, FP=1, FN=2 -> IoU 3/6 = 0.5
         gt = stream(([CAR, CAR, CAR, CAR, CAR, ROAD], [0] * 6))
         pred = stream(([CAR, CAR, CAR, ROAD, ROAD, CAR], [0] * 6))
-        per_class, _ = s_cls(gt, pred, eval_config)
+        per_class = evaluate({"": gt}, {"": pred}, eval_config).iou_per_class
         assert per_class[CAR] == pytest.approx(0.5)
 
     def test_ignore_class_gt_points_excluded(self, eval_config):
         gt = stream(([0, CAR], [0, 1]))
         pred = stream(([ROAD, CAR], [0, 1]))  # wrong on the ignored point only
-        _, mean = s_cls(gt, pred, eval_config)
+        mean = evaluate({"": gt}, {"": pred}, eval_config).s_cls
         assert mean == 1.0
 
     def test_stream_length_mismatch(self, eval_config):
         gt = stream(([CAR], [1]))
         pred = stream(([CAR, CAR], [1, 1]))
         with pytest.raises(ValidationError):
-            s_cls(gt, pred, eval_config)
+            evaluate({"": gt}, {"": pred}, eval_config)
 
     def test_absent_classes_excluded_from_mean(self, eval_config):
         gt = stream(([CAR, CAR], [1, 1]))
-        per_class, mean = s_cls(gt, gt, eval_config)
-        assert set(per_class) == {CAR}
-        assert mean == 1.0
+        report = evaluate({"": gt}, {"": gt}, eval_config)
+        assert set(report.iou_per_class) == {CAR}
+        assert report.s_cls == 1.0
 
 
 class TestSAssoc:
     def test_perfect_tubes(self, eval_config):
         gt = stream(([CAR] * 4, [1, 1, 2, 2]), ([CAR] * 4, [1, 1, 2, 2]))
-        assert s_assoc(gt, gt, eval_config) == 1.0
+        assert evaluate({"": gt}, {"": gt}, eval_config).s_assoc == 1.0
 
     def test_even_split_scores_half(self, eval_config):
         # one gt tube of 2L points split into two predicted halves of L each:
@@ -87,12 +82,12 @@ class TestSAssoc:
         L = 6
         gt = stream(([CAR] * (2 * L), [1] * (2 * L)))
         pred = stream(([CAR] * (2 * L), [1] * L + [2] * L))
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(0.5)
+        assert evaluate({"": gt}, {"": pred}, eval_config).s_assoc == pytest.approx(0.5)
 
     def test_one_matched_one_missed(self, eval_config):
         gt = stream(([CAR, CAR, PERSON, PERSON], [1, 1, 2, 2]))
         pred = stream(([CAR, CAR, PERSON, PERSON], [1, 1, 0, 0]))
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(0.5)
+        assert evaluate({"": gt}, {"": pred}, eval_config).s_assoc == pytest.approx(0.5)
 
     def test_no_gt_tubes_defined_as_one_with_warning(self, eval_config):
         gt = stream(([ROAD, ROAD], [0, 0]))
@@ -106,13 +101,13 @@ class TestSAssoc:
     def test_empty_prediction_scores_zero(self, eval_config):
         gt = stream(([CAR, CAR], [1, 1]))
         pred = stream(([ROAD, ROAD], [0, 0]))
-        assert s_assoc(gt, pred, eval_config) == 0.0
+        assert evaluate({"": gt}, {"": pred}, eval_config).s_assoc == 0.0
 
     def test_pred_thing_points_with_zero_id_form_no_tube(self, eval_config):
         gt = stream(([CAR, CAR], [1, 1]))
         pred = stream(([CAR, CAR], [1, 0]))  # second point predicted but unassigned
         # single pred tube of 1 point: TPA=1, IoU = 1/(2+1-1) = 0.5 -> 0.25
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(0.25)
+        assert evaluate({"": gt}, {"": pred}, eval_config).s_assoc == pytest.approx(0.25)
 
 
 class TestLstq:
@@ -139,7 +134,7 @@ class TestBruteForceEquivalence:
             n_points = int(rng.integers(1, 51))
             n_ids = int(rng.integers(1, 6))
             gt, pred = random_stream(rng, n_scans, n_points, n_ids)
-            fast = s_assoc(gt, pred, eval_config)
+            fast = evaluate({"": gt}, {"": pred}, eval_config).s_assoc
             slow = brute_force_s_assoc(gt, pred, eval_config)
             assert fast == pytest.approx(slow, abs=1e-12), f"trial {trial}"
 
@@ -176,8 +171,8 @@ class TestMultiSequenceAssociation:
 class TestPanopticQuality:
     def test_perfect(self, eval_config):
         gt = stream(([CAR] * 30 + [ROAD] * 10, [1] * 30 + [0] * 10))
-        out = panoptic_quality(gt, gt, eval_config)
-        assert out["pq"] == out["sq"] == out["rq"] == 1.0
+        out = evaluate({"": gt}, {"": gt}, eval_config)
+        assert out.pq == out.sq == out.rq == 1.0
 
     def test_single_pair_iou_06(self, eval_config):
         # |gt| = |pred| = 8, intersection 6 -> IoU 6/10 = 0.6
@@ -185,8 +180,7 @@ class TestPanopticQuality:
         pr_ids = [0] * 2 + [1] * 8
         gt = stream(([CAR] * 10, gt_ids))
         pred = stream(([CAR] * 10, pr_ids))
-        out = panoptic_quality(gt, pred, eval_config)
-        car = out["per_class"][CAR]
+        car = evaluate({"": gt}, {"": pred}, eval_config).pq_per_class[CAR]
         assert car["pq"] == pytest.approx(0.6)
         assert car["rq"] == pytest.approx(1.0)
         assert car["sq"] == pytest.approx(0.6)
@@ -197,8 +191,7 @@ class TestPanopticQuality:
         pr_ids = [0] * 2 + [1] * 6
         gt = stream(([CAR] * 8, gt_ids))
         pred = stream(([CAR] * 8, pr_ids))
-        out = panoptic_quality(gt, pred, eval_config)
-        car = out["per_class"][CAR]
+        car = evaluate({"": gt}, {"": pred}, eval_config).pq_per_class[CAR]
         assert car["tp"] == 0
         assert car["fp"] == 1
         assert car["fn"] == 1
@@ -207,19 +200,22 @@ class TestPanopticQuality:
     def test_pq_dagger_uses_iou_for_stuff(self, eval_config):
         gt = stream(([CAR] * 30 + [ROAD, ROAD], [1] * 30 + [0, 0]))
         pred = stream(([CAR] * 30 + [ROAD, PERSON], [1] * 30 + [0, 0]))
-        out = panoptic_quality(gt, pred, eval_config)
+        out = evaluate({"": gt}, {"": pred}, eval_config)
         # ROAD: gt {2 points}, pred {1 point}, intersection 1 -> class IoU 0.5,
         # segment IoU 0.5 is rejected by plain PQ; dagger takes the class IoU.
         # PERSON has no segments at all and drops out of the mean.
-        assert out["per_class"][ROAD]["tp"] == 0
-        assert out["pq_dagger"] == pytest.approx((1.0 + 0.5) / 2.0)
+        assert out.pq_per_class[ROAD]["tp"] == 0
+        assert out.pq_dagger == pytest.approx((1.0 + 0.5) / 2.0)
 
     def test_4d_matching_over_tubes(self, eval_config):
         # two scans, consistent tube: one 4D TP; per-scan would count two
         gt = stream(([CAR] * 4, [1] * 4), ([CAR] * 4, [1] * 4))
-        out = panoptic_quality(gt, gt, eval_config, per_scan=False)
-        assert out["per_class"][CAR]["tp"] == 1
-        assert out["pq"] == 1.0
+        ev = PanopticEvaluator(eval_config, pq_per_scan=False)
+        for scan in gt:
+            ev.add_scan(scan, scan)
+        out = ev.result()
+        assert out.pq_per_class[CAR]["tp"] == 1
+        assert out.pq == 1.0
 
     def test_4d_matching_keeps_sequences_apart(self, eval_config):
         # thing tubes with the same id in two sequences are two tubes, and a
@@ -253,8 +249,7 @@ class TestPanopticQuality:
         )
         gt = stream(([CAR] * 10, [1] * 10))
         pred = stream(([CAR] * 10, [2] * 5 + [3] * 3 + [0] * 2))
-        out = panoptic_quality(gt, pred, cfg)
-        car = out["per_class"][CAR]
+        car = evaluate({"": gt}, {"": pred}, cfg).pq_per_class[CAR]
         assert car["tp"] == 1
         assert car["fp"] == 1
         assert car["fn"] == 0
@@ -280,7 +275,7 @@ class TestMots:
 
     def test_perfect_tracking(self, eval_config):
         gt = stream(([CAR] * 30, [1] * 30), ([CAR] * 30, [1] * 30))
-        out = mots_metrics(gt, gt, eval_config)
+        out = evaluate({"": gt}, {"": gt}, eval_config).mots_per_class
         assert out[CAR]["motsa"] == 1.0
         assert out[CAR]["smotsa"] == 1.0
         assert out[CAR]["ids"] == 0
@@ -293,7 +288,7 @@ class TestMots:
             ([CAR] * 10, [8] * 10),
             ([CAR] * 10, [8] * 10),
         )
-        out = mots_metrics(gt, pred, eval_config)
+        out = evaluate({"": gt}, {"": pred}, eval_config).mots_per_class
         assert out[CAR]["ids"] == 1
         assert out[CAR]["tp"] == 4
         assert out[CAR]["motsa"] == pytest.approx(1.0 - 1.0 / 4.0)
@@ -305,7 +300,7 @@ class TestMots:
             ([ROAD] * 10, [0] * 10),  # lost in the middle
             ([CAR] * 10, [7] * 10),
         )
-        out = mots_metrics(gt, pred, eval_config)
+        out = evaluate({"": gt}, {"": pred}, eval_config).mots_per_class
         assert out[CAR]["ids"] == 0
         assert out[CAR]["fn"] == 1
 
@@ -313,14 +308,13 @@ class TestMots:
 class TestPtq:
     def test_zero_switches_equals_pq(self, eval_config):
         gt = stream(([CAR] * 20, [1] * 20), ([CAR] * 20, [1] * 20))
-        pq = panoptic_quality(gt, gt, eval_config)
-        ptq = ptq_metrics(gt, gt, eval_config)
-        assert ptq["per_class"][CAR]["ptq"] == pq["per_class"][CAR]["pq"]
+        car = evaluate({"": gt}, {"": gt}, eval_config).pq_per_class[CAR]
+        assert car["ptq"] == car["pq"]
 
     def test_single_switched_segment_formula(self):
         # direct evaluation of the adopted formula: one TP with IoU 0.8,
         # that segment switched -> PTQ (0.8 - 1)/1, sPTQ (0.8 - 0.8)/1
-        out = ptq_from_counts(tp=1, fp=0, fn=0, ids=1, iou_sum=0.8, switch_iou_sum=0.8)
+        out = pq_from_counts(tp=1, fp=0, fn=0, iou_sum=0.8, ids=1, switch_iou_sum=0.8)
         assert out["ptq"] == pytest.approx(-0.2)
         assert out["sptq"] == pytest.approx(0.0)
 
@@ -329,14 +323,13 @@ class TestPtq:
         # PTQ = (2 - 1)/2, sPTQ = (2 - 1)/2
         gt = stream(([CAR] * 10, [1] * 10), ([CAR] * 10, [1] * 10))
         pred = stream(([CAR] * 10, [5] * 10), ([CAR] * 10, [6] * 10))
-        out = ptq_metrics(gt, pred, eval_config)
-        assert out["per_class"][CAR]["ptq"] == pytest.approx(0.5)
-        assert out["per_class"][CAR]["sptq"] == pytest.approx(0.5)
+        car = evaluate({"": gt}, {"": pred}, eval_config).pq_per_class[CAR]
+        assert car["ptq"] == pytest.approx(0.5)
+        assert car["sptq"] == pytest.approx(0.5)
 
     def test_perfect(self, eval_config):
         gt = stream(([CAR] * 20, [1] * 20))
-        out = ptq_metrics(gt, gt, eval_config)
-        assert out["ptq"] == 1.0
+        assert evaluate({"": gt}, {"": gt}, eval_config).ptq_mean == 1.0
 
 
 class TestInvariances:
@@ -352,14 +345,11 @@ class TestInvariances:
         mapping = {1: 9, 2: 14, 3: 11, 4: 13, 5: 12}
         pred2 = self._relabel(pred, mapping)
 
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(
-            s_assoc(gt, pred2, eval_config), abs=1e-12
-        )
-        pq1 = panoptic_quality(gt, pred, eval_config)
-        pq2 = panoptic_quality(gt, pred2, eval_config)
-        assert pq1["pq"] == pytest.approx(pq2["pq"], abs=1e-12)
-        m1 = mots_metrics(gt, pred, eval_config)
-        m2 = mots_metrics(gt, pred2, eval_config)
+        r1 = evaluate({"": gt}, {"": pred}, eval_config)
+        r2 = evaluate({"": gt}, {"": pred2}, eval_config)
+        assert r1.s_assoc == pytest.approx(r2.s_assoc, abs=1e-12)
+        assert r1.pq == pytest.approx(r2.pq, abs=1e-12)
+        m1, m2 = r1.mots_per_class, r2.mots_per_class
         for c in m1:
             assert m1[c]["motsa"] == pytest.approx(m2[c]["motsa"], abs=1e-12)
             assert m1[c]["ids"] == m2[c]["ids"]
@@ -368,8 +358,8 @@ class TestInvariances:
         rng = np.random.default_rng(32)
         gt, pred = random_stream(rng, n_scans=5, n_points=60)
         gt2 = self._relabel(gt, {1: 21, 2: 22, 3: 23, 4: 24, 5: 25})
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(
-            s_assoc(gt2, pred, eval_config), abs=1e-12
+        assert evaluate({"": gt}, {"": pred}, eval_config).s_assoc == pytest.approx(
+            evaluate({"": gt2}, {"": pred}, eval_config).s_assoc, abs=1e-12
         )
 
     def test_class_flip_within_things_preserves_s_assoc(self, eval_config):
@@ -379,24 +369,23 @@ class TestInvariances:
             (np.where(sem == CAR, PERSON, np.where(sem == PERSON, CAR, sem)), inst)
             for sem, inst in pred
         ]
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(
-            s_assoc(gt, flipped, eval_config), abs=1e-12
+        assert evaluate({"": gt}, {"": pred}, eval_config).s_assoc == pytest.approx(
+            evaluate({"": gt}, {"": flipped}, eval_config).s_assoc, abs=1e-12
         )
 
     def test_score_bounds(self, eval_config):
         rng = np.random.default_rng(34)
         for _ in range(20):
             gt, pred = random_stream(rng, n_scans=4, n_points=30)
-            a = s_assoc(gt, pred, eval_config)
-            _, c = s_cls(gt, pred, eval_config)
-            pq = panoptic_quality(gt, pred, eval_config)
+            report = evaluate({"": gt}, {"": pred}, eval_config)
+            a, c = report.s_assoc, report.s_cls
             assert 0.0 <= a <= 1.0
             assert 0.0 <= c <= 1.0
             assert 0.0 <= lstq(c, a) <= 1.0
-            assert 0.0 <= pq["pq"] <= 1.0
-            assert 0.0 <= pq["sq"] <= 1.0
-            assert 0.0 <= pq["rq"] <= 1.0
-            for v in mots_metrics(gt, pred, eval_config).values():
+            assert 0.0 <= report.pq <= 1.0
+            assert 0.0 <= report.sq <= 1.0
+            assert 0.0 <= report.rq <= 1.0
+            for v in report.mots_per_class.values():
                 assert v["motsa"] <= 1.0
 
     def test_tube_contribution_monotone_in_correct_points(self, eval_config):

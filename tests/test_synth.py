@@ -5,7 +5,7 @@ import pytest
 
 from pan4d.errors import ValidationError
 from pan4d.kitti_io import load_sequence
-from pan4d.metrics import evaluate, mots_metrics, s_assoc, s_cls
+from pan4d.metrics import evaluate
 from pan4d.synth import (
     ObjectSpec,
     SceneSpec,
@@ -185,7 +185,8 @@ class TestCorruptions:
         split = split_tube(data.labels, tube_id=1, at_scan=5)
         pred = gt_stream_from(split)
         # the split tube contributes 0.5, the intact one 1.0
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(0.75, abs=1e-12)
+        report = evaluate({"": gt}, {"": pred}, eval_config)
+        assert report.s_assoc == pytest.approx(0.75, abs=1e-12)
 
     def test_merge_equal_tubes_scores_half(self, eval_config):
         data = generate_sequence(two_object_scene())
@@ -193,7 +194,8 @@ class TestCorruptions:
         merged = merge_tubes(data.labels, keep_id=1, absorb_id=2)
         pred = gt_stream_from(merged)
         # each gt tube sees TPA = |gt| against a pred tube of twice the size
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(0.5, abs=1e-12)
+        report = evaluate({"": gt}, {"": pred}, eval_config)
+        assert report.s_assoc == pytest.approx(0.5, abs=1e-12)
 
     def test_class_flip_within_things_preserves_association(self, eval_config):
         data = generate_sequence(two_object_scene())
@@ -201,29 +203,28 @@ class TestCorruptions:
         flipped = flip_class(data.labels, fraction=0.3, thing_classes=(CAR, PERSON),
                              seed=4)
         pred = gt_stream_from(flipped)
-        assert s_assoc(gt, pred, eval_config) == pytest.approx(1.0, abs=1e-12)
-        _, mean = s_cls(gt, pred, eval_config)
-        assert mean < 1.0
+        report = evaluate({"": gt}, {"": pred}, eval_config)
+        assert report.s_assoc == pytest.approx(1.0, abs=1e-12)
+        assert report.s_cls < 1.0
 
     def test_id_switch_adds_exactly_one_switch(self, eval_config):
         data = generate_sequence(two_object_scene())
         gt = gt_stream(data)
         switched = id_switch(data.labels, tube_id=1, at_scan=5)
         pred = gt_stream_from(switched)
-        out = mots_metrics(gt, pred, eval_config)
-        assert out[CAR]["ids"] == 1
-        assert out[PERSON]["ids"] == 0
-        _, mean = s_cls(gt, pred, eval_config)
-        assert mean == 1.0
+        report = evaluate({"": gt}, {"": pred}, eval_config)
+        assert report.mots_per_class[CAR]["ids"] == 1
+        assert report.mots_per_class[PERSON]["ids"] == 0
+        assert report.s_cls == 1.0
 
     def test_drop_points_blanks_labels(self, eval_config):
         data = generate_sequence(two_object_scene())
         gt = gt_stream(data)
         dropped = drop_points(data.labels, fraction=0.5, seed=8)
         pred = gt_stream_from(dropped)
-        assert s_assoc(gt, pred, eval_config) < 1.0
-        _, mean = s_cls(gt, pred, eval_config)
-        assert mean < 1.0
+        report = evaluate({"": gt}, {"": pred}, eval_config)
+        assert report.s_assoc < 1.0
+        assert report.s_cls < 1.0
 
     def test_corrupt_dispatcher(self):
         data = generate_sequence(two_object_scene(n_scans=4))
