@@ -88,7 +88,6 @@ def cmd_run(args) -> int:
     file_data = load_yaml(args.config) if args.config else {}
     keys = (*RUN_PARAMS, "data_dir", "out_dir", "sequences")
     cfg = run_config_from_sources(file_data, {k: getattr(args, k) for k in keys})
-    cfg.validate()
 
     jobs = [(s, _seq_path(cfg.data_dir, s)) for s in cfg.sequences or [""]]
     seeds = {name: [cfg.seed, k] for k, (name, _) in enumerate(sorted(jobs))}
@@ -258,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_dir", help="output root for prediction label files")
     p.add_argument("--sequences", help="comma-separated sequence names")
     p.add_argument("--config", help="YAML config file (flags override it)")
-    for f in RUN_PARAMS.values():  # no type or choices: coerce() and validate() check
+    for f in RUN_PARAMS.values():  # no type or choices: coerce() and the config records check
         store = {"action": "store_true"} if f.type == "bool" else {}
         p.add_argument("--" + f.name.replace("_", "-"), dest=f.name, default=None,
                        help=f"{f.metadata['help']} (default {f.default})", **store)

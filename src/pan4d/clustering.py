@@ -77,9 +77,10 @@ class ClusterFields:
         return self.objectness.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterParams:
-    """Clustering run parameters; each field's help text is its `pan4d run` flag help."""
+    """Clustering run parameters; each field's help text is its `pan4d run` flag help.
+    Construction checks every value."""
 
     assign_prob: float = field(default=0.5, metadata={"help": "cluster assignment probability"})
     seed_stop: float = field(default=0.1, metadata={"help": "objectness that stops seeding"})
@@ -93,9 +94,11 @@ class ClusterParams:
     time_variance: float = field(default=1.0, metadata={
         "help": "default variance of the t feature dim (slot^2)"})
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 < self.assign_prob < 1.0:
             raise ValidationError("assign_prob must lie in (0, 1)")
+        if not 0.0 <= self.seed_stop <= 1.0:
+            raise ValidationError("seed_stop must lie in [0, 1], the range of objectness")
         if self.min_points < 1:
             raise ValidationError("min_points must be >= 1")
         if self.feature_mode not in FEATURE_MODES:
@@ -103,7 +106,6 @@ class ClusterParams:
         for name in ("coord_variance", "time_variance"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
-        return self
 
 
 @dataclass
@@ -169,11 +171,6 @@ def gaussian_affinity(e_i, e_j, var_i, normalized: bool = False):
         norm = (2.0 * np.pi) ** (d / 2.0) * np.sqrt(np.prod(var_i, axis=-1))
         p = p / norm
     return p
-
-
-def _check_volume(features, variances, objectness, params):
-    params.validate()
-    check_fields(features, variances, objectness, name="feature")
 
 
 def _member_radii(variances: np.ndarray, params: ClusterParams) -> np.ndarray:
@@ -259,9 +256,9 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
     point for every seed. The Python cost is per block, not per seed.
 
     Raises:
-        ValidationError: bad params, or inputs that break `check_fields`.
+        ValidationError: inputs that break `check_fields`.
     """
-    _check_volume(features, variances, objectness, params)
+    check_fields(features, variances, objectness, name="feature")
     ids = np.zeros(features.shape[0], dtype=np.int64)
     seeds = []
     obj = np.asarray(objectness, dtype=np.float64)
@@ -305,7 +302,7 @@ def reference_cluster_volume(features: np.ndarray, variances: np.ndarray,
     Costs O(M * seeds): each iteration rescans the unassigned points for the
     best objectness and computes the seed's affinity to all of them.
     """
-    _check_volume(features, variances, objectness, params)
+    check_fields(features, variances, objectness, name="feature")
     ids = np.zeros(features.shape[0], dtype=np.int64)
     obj = np.asarray(objectness, dtype=np.float64)
     seeds = []

@@ -13,7 +13,8 @@ command-line flags override file values. Example:
 
 Run parameters are the dataclass fields with help text (RUN_PARAMS). Each
 is a YAML key and a `pan4d run` flag (underscores as dashes). Values from
-both go through coerce(), then validate(). `pan4d run` and `pan4d evaluate`
+both go through coerce(); the config records they build are frozen and
+check their values when they are built. `pan4d run` and `pan4d evaluate`
 read the same files, and both fail on a key that is neither a run parameter
 nor in FILE_KEYS.
 """
@@ -29,6 +30,7 @@ import yaml
 from .clustering import ClusterParams
 from .errors import ValidationError
 from .metrics import EvalConfig
+from .tracking import check_window_values
 from .volume import VolumeConfig
 
 FILE_KEYS = frozenset({
@@ -124,9 +126,10 @@ def _params(cls):
     return [f for f in fields(cls) if "help" in f.metadata]
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Everything cmd_run needs; validated before any work starts."""
+    """Everything cmd_run needs. Construction checks it, with the pipeline's
+    own rules for window_stride, assoc_iou and seed, before any work starts."""
 
     data_dir: str = ""
     out_dir: str = ""
@@ -139,20 +142,14 @@ class RunConfig:
     seed: int = field(default=0, metadata={"help": "sampling seed"})
     threads: int = field(default=1, metadata={"help": "per-sequence parallelism cap"})
 
-    def validate(self):
+    def __post_init__(self):
         if not self.data_dir or not self.out_dir:
             raise ValidationError("run needs a data_dir and an out_dir (--data, --out)")
-        self.volume.validate()
-        self.cluster.validate()
         if self.eval_config is None:
             raise ValidationError("run config needs a class map (classes/things)")
-        if not 0.0 < self.assoc_iou < 1.0:
-            raise ValidationError("assoc_iou must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_window_values(self.volume.tau, self.window_stride, self.assoc_iou, self.seed)
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
-        return self
 
 
 # every run parameter by name: its YAML key, and its flag with dashes

@@ -41,6 +41,8 @@ class EvalConfig:
 
     def __post_init__(self):
         classes = set(self.classes)
+        if not classes:
+            raise ValidationError("classes must name at least one class")
         if not self.things <= classes:
             raise ValidationError("thing classes must be a subset of the class set")
         if self.ignore & classes:
@@ -362,21 +364,15 @@ class MetricReport:
         return out
 
     def write_text(self, path):
-        """Flat key<TAB>value table, one line per metric."""
-        lines = []
-        for key, val in self.scalars().items():
-            lines.append(f"{key}\t{_fmt(val)}")
-        for c in self._class_ids():
-            if c in self.iou_per_class:
-                lines.append(f"class.{c}.iou\t{_fmt(self.iou_per_class[c])}")
-            if c in self.pq_dagger_per_class:
-                lines.append(f"class.{c}.pq_dagger\t{_fmt(self.pq_dagger_per_class[c])}")
-            for k, v in self.pq_per_class.get(c, {}).items():
-                lines.append(f"class.{c}.{k}\t{_fmt(v)}")
-            for k, v in self.mots_per_class.get(c, {}).items():
-                lines.append(f"class.{c}.mots.{k}\t{_fmt(v)}")
-        for w in self.warnings:
-            lines.append(f"warning\t{w}")
+        """Flat key<TAB>value table, one line per metric: the entries of
+        `to_dict()`, a class's as class.<id>.<key> (mots_<k> as mots.<k>),
+        without the values a class does not have (None)."""
+        report = self.to_dict()
+        lines = [f"{key}\t{_fmt(val)}" for key, val in self.scalars().items()]
+        for c, entries in report["per_class"].items():
+            lines += [f"class.{c}.{k.replace('mots_', 'mots.', 1)}\t{_fmt(v)}"
+                      for k, v in entries.items() if v is not None]
+        lines += [f"warning\t{w}" for w in report["warnings"]]
         with open(path, "w") as f:
             f.write("\n".join(lines) + "\n")
 

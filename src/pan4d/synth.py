@@ -57,6 +57,8 @@ class ObjectSpec:
 
 @dataclass(frozen=True)
 class SceneSpec:
+    """One synthetic scene; construction checks its values and its objects' layout."""
+
     n_scans: int = 10
     objects: tuple = ()
     background_class: int = 40
@@ -70,7 +72,7 @@ class SceneSpec:
     min_separation_sigma: float = 10.0
     calib_tr: np.ndarray = field(default_factory=lambda: DEFAULT_CALIB_TR.copy())
 
-    def validate(self):
+    def __post_init__(self):
         if self.n_scans < 1:
             raise ValidationError("sequence length must be >= 1")
         if not self.objects:
@@ -82,7 +84,6 @@ class SceneSpec:
                 raise ValidationError("object point counts and sigmas must be positive")
         self._check_separation()
         self._check_background_clearance()
-        return self
 
     def _check_separation(self):
         centers = np.array(
@@ -152,7 +153,6 @@ def _ego_pose(spec: SceneSpec, t: int) -> Pose:
 
 def generate_sequence(spec: SceneSpec) -> SequenceData:
     """Generate scans, labels, poses, and oracle fields for one sequence."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
 
     background = None

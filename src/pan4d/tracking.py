@@ -159,6 +159,19 @@ def _fields_for_volume(volume: Volume4D, scans):
                  for col, dtype in zip(columns, (np.float64,) * 3 + (np.int64,)))
 
 
+def check_window_values(tau, window_stride, assoc_iou, seed):
+    """The rules of run_online_pipeline's window_stride, assoc_iou and seed, or
+    a ValidationError naming the first broken one."""
+    if not 1 <= window_stride <= tau:
+        raise ValidationError(
+            f"window_stride must lie in [1, tau={tau}] so every scan is covered by some window"
+        )
+    if not 0.0 < assoc_iou < 1.0:
+        raise ValidationError("assoc_iou must lie in (0, 1)")
+    if np.min(seed) < 0:
+        raise ValidationError("seed must be >= 0")
+
+
 def run_online_pipeline(
     seq,
     fields_fn,
@@ -182,7 +195,8 @@ def run_online_pipeline(
         semantics_fn: scan index -> predicted class id per point.
         volume_config, cluster_params: see their modules.
         thing_classes, stuff_classes: class id partitions.
-        seed: drives every sampling decision; runs are seed-deterministic.
+        seed: an int >= 0, or a list of them; drives every sampling decision.
+        assoc_iou: cross-window IoU threshold, in (0, 1).
         window_stride: scans between consecutive windows. At the default 1
             every scan is emitted from the window where it is newest; larger
             strides emit intermediate scans from the next window, filling
@@ -197,13 +211,7 @@ def run_online_pipeline(
         PipelineResult with one PanopticLabels per scan in `labels`, or, when
         emit is given, with `labels` None.
     """
-    volume_config.validate()
-    cluster_params.validate()
-    if not 1 <= window_stride <= volume_config.tau:
-        raise ValidationError(
-            f"window_stride must lie in [1, tau={volume_config.tau}] so every "
-            "scan is covered by some window"
-        )
+    check_window_values(volume_config.tau, window_stride, assoc_iou, seed)
     n_scans = len(seq)
     tau = volume_config.tau
 

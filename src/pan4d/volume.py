@@ -24,9 +24,10 @@ from .kitti_io import LABEL_FIELD_MAX, Pose, Scan
 STRATEGIES = ("base", "thing", "importance", "decay", "stride")
 
 
-@dataclass
+@dataclass(frozen=True)
 class VolumeConfig:
-    """Volume run parameters; each field's help text is its `pan4d run` flag help."""
+    """Volume run parameters; each field's help text is its `pan4d run` flag help.
+    Construction checks every value."""
 
     strategy: str = field(default="importance", metadata={
         "help": "past-scan sampling strategy: " + ", ".join(STRATEGIES)})
@@ -36,7 +37,7 @@ class VolumeConfig:
     max_points: int | None = field(default=None, metadata={
         "help": "total volume point budget of the thing strategy, None = unlimited"})
 
-    def validate(self):
+    def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValidationError(f"unknown strategy {self.strategy!r}")
         if self.tau < 1:
@@ -51,7 +52,6 @@ class VolumeConfig:
             raise ValidationError("strategy 'base' requires tau = 1")
         if self.strategy != "base" and self.tau < 2:
             raise ValidationError(f"strategy {self.strategy!r} requires tau >= 2")
-        return self
 
 
 @dataclass
@@ -216,7 +216,6 @@ def build_volume(
     draw of k of them when they exceed k; the others draw
     weighted_sample(objectness, k).
     """
-    config.validate()
     n_past = len(past_states)
     if n_past > config.tau - 1:
         raise ValidationError(

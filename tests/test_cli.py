@@ -1,6 +1,7 @@
 import json
 import shlex
 import shutil
+import struct
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -255,6 +256,17 @@ def _double_embeddings(path):
                          np.hstack([cf.variances] * 2))
 
 
+def _set_sidecar_version(path, version):
+    body = path.read_bytes()
+    path.write_bytes(body[:4] + struct.pack("<I", version) + body[8:])
+
+
+def _drop_config_key(path, key):
+    config = yaml.safe_load(path.read_text())
+    del config[key]
+    path.write_text(yaml.safe_dump(config))
+
+
 # case -> (command, fault, exit code, message): fault(seq, pred, monkeypatch)
 # spoils the copy of sequence 00 at seq, or its predictions at pred
 FILE_FAULTS = {
@@ -283,6 +295,18 @@ FILE_FAULTS = {
         "scan 0 has 3-d embeddings and scan 1 6-d"),
     "run-invariant-broken": (
         "run", lambda seq, pred, mp: _write_then_break_invariant(mp), 3, "internal error"),
+    "run-sidecar-truncated-header": (
+        "run", lambda seq, pred, mp: (seq / "fields" / "000000.p4de").write_bytes(b"P4DE\1\0"),
+        2, "truncated header"),
+    "run-sidecar-version-2": (
+        "run", lambda seq, pred, mp: _set_sidecar_version(seq / "fields" / "000000.p4de", 2),
+        2, "unsupported version 2"),
+    "evaluate-config-top-level-list": (
+        "evaluate", lambda seq, pred, mp: (seq.parent / "classes.yaml").write_text("- 10\n"),
+        1, "top level must be a mapping"),
+    "evaluate-config-no-things": (
+        "evaluate", lambda seq, pred, mp: _drop_config_key(seq.parent / "classes.yaml", "things"),
+        1, "missing required key 'things'"),
     "evaluate-no-prediction-dir": (
         "evaluate", lambda seq, pred, mp: shutil.rmtree(pred), 2, "no predictions/"),
     "evaluate-no-gt-labels": (
@@ -371,6 +395,17 @@ class TestFieldChecks:
         # one per sidecar read, then one cluster_volume check per window
         assert len(calls) == 8
 
+    def test_twelve_scan_run_checks_each_run_config_once(self, dataset, tmp_path, monkeypatch):
+        _, data_dir = dataset
+        calls = []
+        for cls in (VolumeConfig, ClusterParams):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, check=check: (calls.append(type(self)), check(self)))
+        assert run_pipeline(data_dir, tmp_path / "out") == 0
+        assert len(list((tmp_path / "out" / "00" / "predictions").iterdir())) == 12
+        assert calls == [VolumeConfig, ClusterParams]
+
 
 class TestEvaluateConfigKeys:
     """`pan4d evaluate --config` takes the keys `pan4d run` takes, and no other."""
@@ -393,6 +428,17 @@ class TestEvaluateConfigKeys:
         _, data_dir = dataset
         assert self.evaluate(data_dir, tmp_path, {"tau": 3, "strategy": "decay"}) == 0
         assert json.loads((tmp_path / "report.json").read_text())["lstq"] == 1.0
+
+    def test_empty_class_set_exits_one(self, dataset, tmp_path, capsys):
+        _, data_dir = dataset
+        assert self.evaluate(data_dir, tmp_path, {"classes": [], "things": []}) == 1
+        assert "classes" in capsys.readouterr().err
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_no_gt_tubes_warns_on_stderr(self, dataset, tmp_path, capsys):
+        _, data_dir = dataset
+        assert self.evaluate(data_dir, tmp_path, {"things": []}) == 0
+        assert "warning: no ground-truth tubes" in capsys.readouterr().err
 
 
 def write_two_sequences(root):
@@ -723,6 +769,8 @@ class TestRunParameters:
         ({}, ["--time-variance", "0"], "time_variance"),
         ({}, ["--assoc-iou", "1"], "assoc_iou"),
         ({}, ["--threads", "0"], "threads"),
+        ({}, ["--seed-stop", "1.5"], "seed_stop"),
+        ({}, ["--window-stride", "5"], "window_stride"),  # beyond the default tau 4
     ])
     def test_bad_value_or_key_exits_one(self, run_config, capsys, file_data, flags, key):
         code, cfg = run_config(file_data, *flags)

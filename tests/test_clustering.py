@@ -1,4 +1,5 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -269,11 +270,11 @@ class TestClusterVolume:
 
     def test_params_validation(self):
         with pytest.raises(ValidationError):
-            ClusterParams(assign_prob=1.0).validate()
+            ClusterParams(assign_prob=1.0)
         with pytest.raises(ValidationError):
-            ClusterParams(min_points=0).validate()
+            ClusterParams(min_points=0)
         with pytest.raises(ValidationError):
-            ClusterParams(feature_mode="nope").validate()
+            ClusterParams(feature_mode="nope")
 
 
 @st.composite
@@ -367,7 +368,7 @@ class TestMatchesReferenceAcrossBlocks:
     @given(volume=clustered_volumes())
     def test_same_seeds_members_and_ids(self, block, normalized_pdf, volume):
         feats, variances, obj, params = volume
-        params.normalized_pdf = normalized_pdf
+        params = replace(params, normalized_pdf=normalized_pdf)
         with pytest.MonkeyPatch.context() as mp:
             if block is not None:
                 mp.setattr(clustering, "SEED_BLOCK", block)

@@ -81,26 +81,24 @@ class TestGeneration:
         assert (obj[labels.instance == 0] == 0.0).all()
 
     def test_separation_validation(self):
-        spec = SceneSpec(
-            n_scans=5,
-            objects=(
-                ObjectSpec(class_id=CAR, n_points=10, sigma=1.0, start=(0.0, 0.0, 5.0)),
-                ObjectSpec(class_id=CAR, n_points=10, sigma=1.0, start=(4.0, 0.0, 5.0)),
-            ),
-        )
         with pytest.raises(ValidationError, match="approach"):
-            spec.validate()
+            SceneSpec(
+                n_scans=5,
+                objects=(
+                    ObjectSpec(class_id=CAR, n_points=10, sigma=1.0, start=(0.0, 0.0, 5.0)),
+                    ObjectSpec(class_id=CAR, n_points=10, sigma=1.0, start=(4.0, 0.0, 5.0)),
+                ),
+            )
 
     def test_background_clearance_validation(self):
-        spec = SceneSpec(
-            n_scans=3,
-            objects=(
-                ObjectSpec(class_id=CAR, n_points=10, sigma=0.3, start=(0.0, 0.0, 0.5)),
-            ),
-            background_points=100,
-        )
         with pytest.raises(ValidationError, match="capture radius"):
-            spec.validate()
+            SceneSpec(
+                n_scans=3,
+                objects=(
+                    ObjectSpec(class_id=CAR, n_points=10, sigma=0.3, start=(0.0, 0.0, 0.5)),
+                ),
+                background_points=100,
+            )
 
     def test_spec_from_dict(self):
         spec, name = scene_spec_from_dict(
@@ -120,10 +118,9 @@ class TestGeneration:
         spec, _ = scene_spec_from_dict(
             {"objects": [{"class": CAR, "points": 12, "sigma": 0.2, "start": [3, 0, 5]}]}
         )
-        default = SceneSpec()
         for f in fields(SceneSpec):
             if f.name not in ("objects", "calib_tr"):
-                assert getattr(spec, f.name) == getattr(default, f.name), f.name
+                assert getattr(spec, f.name) == f.default, f.name
         assert spec.objects[0] == ObjectSpec(class_id=CAR, n_points=12, sigma=0.2,
                                              start=(3.0, 0.0, 5.0))
 

@@ -334,6 +334,21 @@ class TestOnlinePipeline:
                 window_stride=3,
             )
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"assoc_iou": 1.0}, "assoc_iou"),
+        ({"assoc_iou": 1.5}, "assoc_iou"),
+        ({"seed": -1}, "seed"),
+        ({"seed": [0, -1]}, "seed"),
+    ])
+    def test_bad_association_or_seed_rejected(self, kwargs, message):
+        data = generate_sequence(single_object_scene(n_scans=6))
+        with pytest.raises(ValidationError, match=message):
+            run_online_pipeline(
+                MemorySequence(data), *oracle_providers(data),
+                VolumeConfig(strategy="importance", tau=4),
+                oracle_params(), thing_classes={CAR}, stuff_classes=set(), **kwargs,
+            )
+
     def test_identity_preserved_when_shared_sets_identical(self):
         # direct check of the invariant at the association level
         ledger = TrackLedger(next_id=2)

@@ -401,11 +401,11 @@ class TestBuildVolume:
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
-            VolumeConfig(strategy="warp").validate()
+            VolumeConfig(strategy="warp")
         with pytest.raises(ValidationError):
-            VolumeConfig(strategy="importance", fraction=0.0).validate()
+            VolumeConfig(strategy="importance", fraction=0.0)
         with pytest.raises(ValidationError):
-            VolumeConfig(strategy="base", tau=2).validate()
+            VolumeConfig(strategy="base", tau=2)
 
 
 def brute_force_backfill(inc, origin, sem, inst, query):
