@@ -11,9 +11,10 @@ is k, so every point belongs to at most one instance.
 A point can pass a seed's assignment test only inside a Euclidean ball around
 the seed (see `cluster_volume`), so each seed scores just the unassigned
 points a KD-tree finds in that ball. Seeds are settled in blocks of
-SEED_BLOCK candidates of the objectness order, with one ball query and one
-affinity pass per block. `reference_cluster_volume` keeps the loop that
-scores every unassigned point for every seed; only tests call it.
+SEED_BLOCK open candidates of the objectness order, with one ball query and
+one affinity pass per block. The volume's KD-tree has VOLUME_LEAFSIZE points
+per leaf. `reference_cluster_volume` keeps the loop that scores every
+unassigned point for every seed; only tests call it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ FEATURE_MODES = ("xyz", "xyzt", "emb", "emb+xyz", "emb+xyzt")
 SIDECAR_MAGIC = b"P4DE"
 SIDECAR_VERSION = 1
 
-SEED_BLOCK = 128  # candidates per block of cluster_volume's seed order
+SEED_BLOCK = 128  # open candidates per block of cluster_volume's seed order
+VOLUME_LEAFSIZE = 256  # points per leaf of cluster_volume's volume tree
 
 
 def check_fields(embeddings, variances, objectness, name="embedding"):
@@ -245,8 +247,9 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
     `normalized_pdf`, p becomes p * (2 pi)^(D/2) * sqrt(prod var_seed)); the
     ball is padded against rounding.
 
-    The order is taken in blocks of SEED_BLOCK candidates. A block drops the
-    candidates earlier blocks assigned; of the rest, a candidate becomes a
+    The order is taken in blocks of SEED_BLOCK open candidates: after each
+    block, the candidates it assigned leave the rest of the order, and the
+    next block is the next SEED_BLOCK of what remains. A candidate becomes a
     seed exactly when no earlier seed of the block takes it (`_block_seeds`).
     One KD-tree query over the volume returns the balls of the block's seeds,
     their still-unassigned points are scored in one `gaussian_affinity` call,
@@ -264,13 +267,13 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
     obj = np.asarray(objectness, dtype=np.float64)
     order = np.argsort(-obj, kind="stable")[: np.count_nonzero(obj >= params.seed_stop)]
     # the sliding-midpoint tree builds in about half the time of the default
-    # one; every tree returns the same ball
-    tree = cKDTree(features, balanced_tree=False, compact_nodes=False) if order.size else None
-    for start in range(0, order.size, SEED_BLOCK):
-        cand = order[start:start + SEED_BLOCK]
-        cand = cand[ids[cand] == 0]
-        if not cand.size:
-            continue
+    # one, and large leaves make it shallower still: a window's tree serves
+    # few ball queries, so build time dominates. Of leaf sizes 16 to 512 on
+    # the benchmark volumes, 256 was fastest; every tree returns the same ball
+    tree = (cKDTree(features, leafsize=VOLUME_LEAFSIZE, balanced_tree=False,
+                    compact_nodes=False) if order.size else None)
+    while order.size:
+        cand, order = order[:SEED_BLOCK], order[SEED_BLOCK:]
         cand_radii = _member_radii(variances[cand], params)
         is_seed = _block_seeds(features, variances, cand, cand_radii.max(), params)
         block_seeds = cand[is_seed]
@@ -292,6 +295,7 @@ def cluster_volume(features: np.ndarray, variances: np.ndarray, objectness: np.n
         rows, first = np.unique(rows, return_index=True)
         ids[rows] = len(seeds) + 1 + rank[first]
         seeds.extend(block_seeds.tolist())
+        order = order[ids[order] == 0]  # the next block holds only open candidates
     return _prune(ids, seeds, params.min_points)
 
 

@@ -235,6 +235,12 @@ def _edit_poses(seq, edit):
     path.write_text("".join(edit(path.read_text().splitlines(keepends=True))))
 
 
+def _set_first_pose_value(seq, line, value):
+    """Replace the first value of poses.txt line `line` (counted from 1)."""
+    _edit_poses(seq, lambda ls: [" ".join([value, *text.split()[1:]]) + "\n" if k == line
+                                 else text for k, text in enumerate(ls, start=1)])
+
+
 def _last(directory):
     return sorted(directory.iterdir())[-1]
 
@@ -280,6 +286,15 @@ FILE_FAULTS = {
     "run-non-numeric-pose": (
         "run", lambda seq, pred, mp: _edit_poses(seq, lambda ls: ["x" + ls[0][1:], *ls[1:]]),
         2, "could not convert"),
+    "run-singular-calib-tr": (
+        "run", lambda seq, pred, mp: (seq / "calib.txt").write_text(
+            "Tr: 1 0 0 0 0 0 0 0 0 0 1 0\n"), 2, "calib.txt line 1 (Tr): singular matrix"),
+    "run-non-finite-pose": (
+        "run", lambda seq, pred, mp: _set_first_pose_value(seq, 3, "inf"), 2,
+        "poses.txt line 3: non-finite value"),
+    "run-non-rigid-pose": (
+        "run", lambda seq, pred, mp: _set_first_pose_value(seq, 2, "2"), 2,
+        "poses.txt line 2: pose rotation block is not orthonormal"),
     "run-fewer-label-files-than-scans": (
         "run", lambda seq, pred, mp: _last(seq / "labels").unlink(), 2, "11 label files"),
     "run-fewer-sidecars-than-scans": (

@@ -362,20 +362,64 @@ def clustered_volumes(draw):
 
 
 class TestMatchesReferenceAcrossBlocks:
+    def check(self, volume, normalized_pdf, **constants):
+        """cluster_volume with the module constants set (None keeps one) against the oracle."""
+        feats, variances, obj, params = volume
+        params = replace(params, normalized_pdf=normalized_pdf)
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in constants.items():
+                if value is not None:
+                    mp.setattr(clustering, name, value)
+            fast = cluster_volume(feats, variances, obj, params)
+        slow = reference_cluster_volume(feats, variances, obj, params)
+        assert fast.seeds == slow.seeds
+        np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
+
     @pytest.mark.parametrize("normalized_pdf", [False, True])
     @pytest.mark.parametrize("block", [1, 2, 3, 7, None])  # None: the module's SEED_BLOCK
     @settings(max_examples=40)
     @given(volume=clustered_volumes())
     def test_same_seeds_members_and_ids(self, block, normalized_pdf, volume):
-        feats, variances, obj, params = volume
-        params = replace(params, normalized_pdf=normalized_pdf)
-        with pytest.MonkeyPatch.context() as mp:
-            if block is not None:
-                mp.setattr(clustering, "SEED_BLOCK", block)
-            fast = cluster_volume(feats, variances, obj, params)
+        self.check(volume, normalized_pdf, SEED_BLOCK=block)
+
+    # None: the module's VOLUME_LEAFSIZE; 10_000 exceeds every volume, so the
+    # tree is one leaf
+    @pytest.mark.parametrize("leafsize", [1, 2, 16, None, 10_000])
+    @settings(max_examples=40)
+    @given(volume=clustered_volumes(), block=st.sampled_from([1, 3, None]),
+           normalized_pdf=st.booleans())
+    def test_leaf_size_keeps_seeds_and_ids(self, leafsize, block, normalized_pdf, volume):
+        self.check(volume, normalized_pdf, SEED_BLOCK=block, VOLUME_LEAFSIZE=leafsize)
+
+
+class TestSeedBlocks:
+    def test_every_block_but_the_last_is_full_of_open_candidates(self, monkeypatch):
+        # 1-d points in seed order: points 0.1 apart take each other, points
+        # 10 apart do not. The first block's seed at 0 takes the point at 0.1,
+        # which sits in the second block's slice of the order.
+        x = np.array([0.0, 10.0, 20.0, 0.1, 30.0, 40.0, 50.0, 60.0, 60.1, 70.0])
+        obj = np.linspace(0.9, 0.5, x.size)
+        feats, variances = x[:, None], np.ones((x.size, 1))
+        blocks = []
+        block_seeds = clustering._block_seeds
+
+        def record(features, variances, cand, radius, params):
+            blocks.append(cand.copy())
+            return block_seeds(features, variances, cand, radius, params)
+
+        monkeypatch.setattr(clustering, "SEED_BLOCK", 3)
+        monkeypatch.setattr(clustering, "_block_seeds", record)
+        params = ClusterParams(min_points=1)
+        result = cluster_volume(feats, variances, obj, params)
         slow = reference_cluster_volume(feats, variances, obj, params)
-        assert fast.seeds == slow.seeds
-        np.testing.assert_array_equal(fast.instance_ids, slow.instance_ids)
+        assert result.seeds == slow.seeds
+        np.testing.assert_array_equal(result.instance_ids, slow.instance_ids)
+        assert [b.size for b in blocks] == [3, 3, 3]
+        # a candidate is open when its block starts exactly when the seed that
+        # takes it is in the same block
+        owner = np.asarray(result.seeds)[result.instance_ids - 1]
+        for cand in blocks:
+            assert np.isin(owner[cand], cand).all()
 
 
 class TestClusterInputValues:
