@@ -11,6 +11,7 @@ from .clustering import (
     read_cluster_fields,
     write_cluster_fields,
 )
+from .config import RunConfig
 from .errors import FormatError, InvariantError, Pan4DError, ValidationError
 from .kitti_io import (
     PanopticLabels,

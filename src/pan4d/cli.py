@@ -15,6 +15,7 @@ import contextlib
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -39,10 +40,10 @@ def _seq_path(root, seq, *parts):
 
 
 def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed, created):
-    """Run one sequence, writing each scan's labels as soon as they are final,
-    under its staged name (label path + STAGED). The predictions/ directory,
-    if it makes it, and every staged file it writes are added to created, in
-    order."""
+    """Run one sequence under cfg with seed seq_seed, writing each scan's
+    labels as soon as they are final under its staged name (label path +
+    STAGED). The predictions/ directory, if it makes it, and every staged
+    file it writes are added to created, in order."""
     seq = kitti_io.load_sequence(seq_dir)
     if not seq.has_fields:
         raise FormatError(f"{seq_dir}: no fields/ sidecar directory; cmd_run needs "
@@ -67,20 +68,8 @@ def _run_one_sequence(seq_name, seq_dir, out_root, cfg, seq_seed, created):
         created.append(path)  # before the write, so a partial file is removed too
         kitti_io.write_labels(labels, path)
 
-    eval_cfg = cfg.eval_config
-    result = run_online_pipeline(
-        seq,
-        fields_fn,
-        semantics_fn,
-        cfg.volume,
-        cfg.cluster,
-        thing_classes=eval_cfg.things,
-        stuff_classes=eval_cfg.stuff,
-        seed=seq_seed,
-        assoc_iou=cfg.assoc_iou,
-        window_stride=cfg.window_stride,
-        emit=write,
-    )
+    result = run_online_pipeline(seq, fields_fn, semantics_fn, replace(cfg, seed=seq_seed),
+                                 emit=write)
     return seq_name, result.stats, pred_dir
 
 

@@ -14,9 +14,10 @@ command-line flags override file values. Example:
 Run parameters are the dataclass fields with help text (RUN_PARAMS). Each
 is a YAML key and a `pan4d run` flag (underscores as dashes). Values from
 both go through coerce(); the config records they build are frozen and
-check their values when they are built. `pan4d run` and `pan4d evaluate`
-read the same files, and both fail on a key that is neither a run parameter
-nor in FILE_KEYS.
+check their values when they are built: each parameter's default and rule
+are written once, on its record, and run_online_pipeline takes the RunConfig.
+`pan4d run` and `pan4d evaluate` read the same files, and both fail on a key
+that is neither a run parameter nor in FILE_KEYS.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
+import numpy as np
 import yaml
 
 from .clustering import ClusterParams
 from .errors import ValidationError
 from .metrics import EvalConfig
-from .tracking import check_window_values
 from .volume import VolumeConfig
 
 FILE_KEYS = frozenset({
@@ -128,8 +129,9 @@ def _params(cls):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything cmd_run needs. Construction checks it, with the pipeline's
-    own rules for window_stride, assoc_iou and seed, before any work starts."""
+    """Everything a run needs, checked at construction before any work
+    starts; `run_online_pipeline` takes one per sequence. A library run
+    leaves data_dir and out_dir empty."""
 
     data_dir: str = ""
     out_dir: str = ""
@@ -139,15 +141,19 @@ class RunConfig:
     eval_config: EvalConfig | None = None  # class map (things/stuff/ignore)
     assoc_iou: float = field(default=0.5, metadata={"help": "cross-window IoU threshold"})
     window_stride: int = field(default=1, metadata={"help": "scans between consecutive windows"})
-    seed: int = field(default=0, metadata={"help": "sampling seed"})
+    seed: int = field(default=0, metadata={"help": "sampling seed"})  # or a list of ints
     threads: int = field(default=1, metadata={"help": "per-sequence parallelism cap"})
 
     def __post_init__(self):
-        if not self.data_dir or not self.out_dir:
-            raise ValidationError("run needs a data_dir and an out_dir (--data, --out)")
         if self.eval_config is None:
             raise ValidationError("run config needs a class map (classes/things)")
-        check_window_values(self.volume.tau, self.window_stride, self.assoc_iou, self.seed)
+        if not 1 <= self.window_stride <= self.volume.tau:
+            raise ValidationError(f"window_stride must lie in [1, tau={self.volume.tau}] "
+                                  "so every scan is covered by some window")
+        if not 0.0 < self.assoc_iou < 1.0:
+            raise ValidationError("assoc_iou must lie in (0, 1)")
+        if np.min(self.seed) < 0:
+            raise ValidationError("seed must be >= 0")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
 
@@ -158,7 +164,8 @@ RUN_PARAMS = {f.name: f for cls in (VolumeConfig, ClusterParams, RunConfig) for 
 
 def run_config_from_sources(file_data: dict, overrides: dict) -> RunConfig:
     """Merge config-file values with CLI overrides (overrides that are not
-    None win); unknown file keys and values of the wrong type fail."""
+    None win) into the RunConfig of `pan4d run`; unknown file keys, values
+    of the wrong type and a missing data or output root fail."""
     _check_keys(file_data)
     merged = dict(file_data)
     merged.update({k: v for k, v in overrides.items() if v is not None})
@@ -167,8 +174,11 @@ def run_config_from_sources(file_data: dict, overrides: dict) -> RunConfig:
         return {f.name: coerce(f.name, merged[f.name], f.type)
                 for f in _params(cls) if f.name in merged}
 
+    roots = {k: str(merged.get(k, "")) for k in ("data_dir", "out_dir")}
+    if not all(roots.values()):
+        raise ValidationError("run needs a data_dir and an out_dir (--data, --out)")
     return RunConfig(
-        **{k: str(merged[k]) for k in ("data_dir", "out_dir") if k in merged},
+        **roots,
         sequences=sequence_names("sequences", merged.get("sequences")),
         volume=VolumeConfig(**values(VolumeConfig)),
         cluster=ClusterParams(**values(ClusterParams)),

@@ -198,8 +198,8 @@ def read_calib_tr(calib_path) -> np.ndarray:
     """Return the 4x4 camera-from-LiDAR transform from a calib.txt.
 
     Raises:
-        FormatError: no Tr line, or a Tr line that is malformed, non-finite or
-            singular; the message names the file and the line.
+        FormatError: no Tr line, or a Tr line that is malformed, non-finite,
+            singular or not rigid; the message names the file and the line.
     """
     with open(calib_path) as f:
         for k, line in enumerate(f, start=1):
@@ -211,7 +211,10 @@ def read_calib_tr(calib_path) -> np.ndarray:
                 # an SVD-based rank would add about 0.7 MiB to a run's peak memory
                 if np.linalg.det(tr) == 0:
                     raise FormatError(f"{what}: singular matrix")
-                return tr
+                try:  # a rigid Tr, by Pose's rule, keeps every pose's scale
+                    return Pose(matrix=tr).matrix
+                except ValidationError as exc:
+                    raise FormatError(f"{what}: {exc}") from exc
     raise FormatError(f"{calib_path}: no 'Tr' line found")
 
 
@@ -301,31 +304,35 @@ def listdir_sorted(d, suffix):
     return [os.path.join(d, n) for n in sorted(os.listdir(d)) if n.endswith(suffix)]
 
 
+def _paired_files(seq_dir, scan_paths, sub, suffix, kind):
+    """The suffix files of seq_dir/sub, one per scan and named as its
+    velodyne/ file, or [] when there is no sub directory."""
+    d = os.path.join(seq_dir, sub)
+    paths = listdir_sorted(d, suffix) if os.path.isdir(d) else []
+    if paths and len(paths) != len(scan_paths):
+        raise FormatError(f"{seq_dir}: {len(scan_paths)} scans but {len(paths)} {kind} files")
+    for k, (scan, path) in enumerate(zip(scan_paths, paths)):
+        stem = os.path.basename(scan)[:-len(".bin")]
+        if os.path.basename(path) != stem + suffix:
+            raise FormatError(f"{seq_dir}: scan {k} is velodyne/{stem}.bin but its "
+                              f"{sub}/ file is {os.path.basename(path)}")
+    return paths
+
+
 def load_sequence(seq_dir) -> SequenceHandle:
     """Open a sequence directory laid out as velodyne/ labels/ poses.txt calib.txt.
 
     Raises:
-        FormatError: missing velodyne directory, poses.txt or calib.txt, or
-            fewer poses than scans.
+        FormatError: missing velodyne directory, poses.txt or calib.txt,
+            fewer poses than scans, or a labels/ or fields/ directory whose
+            files do not pair with the velodyne/ files by name.
     """
     velo_dir = os.path.join(seq_dir, "velodyne")
     if not os.path.isdir(velo_dir):
         raise FormatError(f"{seq_dir}: no velodyne/ directory")
     scan_paths = listdir_sorted(velo_dir, ".bin")
-
-    labels_dir = os.path.join(seq_dir, "labels")
-    label_paths = listdir_sorted(labels_dir, ".label") if os.path.isdir(labels_dir) else []
-    if label_paths and len(label_paths) != len(scan_paths):
-        raise FormatError(
-            f"{seq_dir}: {len(scan_paths)} scans but {len(label_paths)} label files"
-        )
-
-    fields_dir = os.path.join(seq_dir, "fields")
-    fields_paths = listdir_sorted(fields_dir, ".p4de") if os.path.isdir(fields_dir) else []
-    if fields_paths and len(fields_paths) != len(scan_paths):
-        raise FormatError(
-            f"{seq_dir}: {len(scan_paths)} scans but {len(fields_paths)} fields files"
-        )
+    label_paths = _paired_files(seq_dir, scan_paths, "labels", ".label", "label")
+    fields_paths = _paired_files(seq_dir, scan_paths, "fields", ".p4de", "fields")
 
     poses_path = os.path.join(seq_dir, "poses.txt")
     calib_path = os.path.join(seq_dir, "calib.txt")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ValidationError
-from .kitti_io import LABEL_FIELD_MAX
+from .kitti_io import LABEL_FIELD_MAX, PanopticLabels
 
 _SHIFT = 32  # (a << _SHIFT) | b packs two ids in [0, 2**31) into one int64
 _MASK = (1 << _SHIFT) - 1
@@ -56,11 +56,11 @@ class EvalConfig:
 
 
 def _as_arrays(item):
-    """Accept PanopticLabels or a (semantic, instance) pair."""
-    if hasattr(item, "semantic"):
-        return np.asarray(item.semantic, dtype=np.int64), np.asarray(item.instance, dtype=np.int64)
-    sem, inst = item
-    return np.asarray(sem, dtype=np.int64), np.asarray(inst, dtype=np.int64)
+    """Accept PanopticLabels or a (semantic, instance) pair, which must be
+    equal-length 1-d arrays as in PanopticLabels."""
+    if not hasattr(item, "semantic"):
+        item = PanopticLabels(*(np.asarray(a, dtype=np.int64) for a in item))
+    return np.asarray(item.semantic, dtype=np.int64), np.asarray(item.instance, dtype=np.int64)
 
 
 def _counts(ids):

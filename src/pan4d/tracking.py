@@ -27,11 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterParams, build_point_features, cluster_volume, majority_vote_classes
+from .clustering import build_point_features, cluster_volume, majority_vote_classes
 from .errors import ValidationError
 from .kitti_io import LABEL_FIELD_MAX, PanopticLabels
 from .metrics import _counts, _pair_counts, greedy_match
-from .volume import ScanState, Volume4D, VolumeConfig, align_scan, backfill_skipped, build_volume
+from .volume import ScanState, Volume4D, align_scan, backfill_skipped, build_volume
 
 log = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def join_sorted(a: np.ndarray, b: np.ndarray):
 
 
 def associate_windows(prev: WindowResult, cur: WindowResult, ledger: TrackLedger,
-                      iou_threshold: float = 0.5) -> dict:
+                      iou_threshold: float) -> dict:
     """Map every cur instance id to a global id by overlap with prev.
 
     IoU is computed over points present in both windows, jointly over all
@@ -159,32 +159,7 @@ def _fields_for_volume(volume: Volume4D, scans):
                  for col, dtype in zip(columns, (np.float64,) * 3 + (np.int64,)))
 
 
-def check_window_values(tau, window_stride, assoc_iou, seed):
-    """The rules of run_online_pipeline's window_stride, assoc_iou and seed, or
-    a ValidationError naming the first broken one."""
-    if not 1 <= window_stride <= tau:
-        raise ValidationError(
-            f"window_stride must lie in [1, tau={tau}] so every scan is covered by some window"
-        )
-    if not 0.0 < assoc_iou < 1.0:
-        raise ValidationError("assoc_iou must lie in (0, 1)")
-    if np.min(seed) < 0:
-        raise ValidationError("seed must be >= 0")
-
-
-def run_online_pipeline(
-    seq,
-    fields_fn,
-    semantics_fn,
-    volume_config: VolumeConfig,
-    cluster_params: ClusterParams,
-    thing_classes,
-    stuff_classes,
-    seed: int = 0,
-    assoc_iou: float = 0.5,
-    window_stride: int = 1,
-    emit=None,
-) -> PipelineResult:
+def run_online_pipeline(seq, fields_fn, semantics_fn, config, emit=None) -> PipelineResult:
     """Run volume building, clustering, and association over a whole sequence.
 
     Args:
@@ -193,14 +168,12 @@ def run_online_pipeline(
             construction is the one check of the field values. Coordinate-only
             fields (embeddings None) suit the "xyz" and "xyzt" feature modes.
         semantics_fn: scan index -> predicted class id per point.
-        volume_config, cluster_params: see their modules.
-        thing_classes, stuff_classes: class id partitions.
-        seed: an int >= 0, or a list of them; drives every sampling decision.
-        assoc_iou: cross-window IoU threshold, in (0, 1).
-        window_stride: scans between consecutive windows. At the default 1
-            every scan is emitted from the window where it is newest; larger
-            strides emit intermediate scans from the next window, filling
-            points the volume did not include by nearest included neighbor.
+        config: the run's RunConfig, checked when it was built: its volume
+            and cluster records, the things and stuff of its eval_config, and
+            seed, assoc_iou and window_stride. At window stride 1 every scan
+            is emitted from the window where it is newest; larger strides emit
+            intermediate scans from the next window, filling points the
+            volume did not include by nearest included neighbor.
         emit: called as emit(scan index, PanopticLabels) once per scan, in
             increasing scan order, as soon as the scan's labels are final. The
             pipeline keeps no labels of scans older than the current window,
@@ -211,9 +184,9 @@ def run_online_pipeline(
         PipelineResult with one PanopticLabels per scan in `labels`, or, when
         emit is given, with `labels` None.
     """
-    check_window_values(volume_config.tau, window_stride, assoc_iou, seed)
     n_scans = len(seq)
-    tau = volume_config.tau
+    tau = config.volume.tau
+    things, stuff = config.eval_config.things, config.eval_config.stuff
 
     ledger = TrackLedger()
     prev_result = None
@@ -225,7 +198,7 @@ def run_online_pipeline(
     peak_points = 0
     t_start = time.perf_counter()
 
-    window_ts = list(range(0, n_scans, window_stride))
+    window_ts = list(range(0, n_scans, config.window_stride))
     if window_ts and window_ts[-1] != n_scans - 1:
         window_ts.append(n_scans - 1)
 
@@ -237,15 +210,15 @@ def run_online_pipeline(
                 scans[s] = _load_scan(seq, s, fields_fn, semantics_fn)
 
         states = [scans[s] for s in window[:-1] if scans[s].emitted is not None]
-        rng = np.random.default_rng([seed, t])
-        volume = build_volume(scans[t].coords, t, states, volume_config, rng, thing_classes)
+        rng = np.random.default_rng([config.seed, t])
+        volume = build_volume(scans[t].coords, t, states, config.volume, rng, things)
         peak_points = max(peak_points, len(volume))
 
         v_emb, v_var, v_obj, sem = _fields_for_volume(volume, scans)
         # each scan's fields were checked when built; cluster_volume checks the volume's inputs
-        feats, variances = build_point_features(volume.coords, v_emb, v_var, cluster_params)
-        assignment = cluster_volume(feats, variances, v_obj, cluster_params)
-        assignment = majority_vote_classes(assignment, sem, stuff_classes)
+        feats, variances = build_point_features(volume.coords, v_emb, v_var, config.cluster)
+        assignment = cluster_volume(feats, variances, v_obj, config.cluster)
+        assignment = majority_vote_classes(assignment, sem, stuff)
         ids = assignment.instance_ids
         voted = ids > 0  # members take their instance's majority class
         sem[voted] = np.asarray(assignment.classes, dtype=np.int64)[ids[voted] - 1]
@@ -266,7 +239,7 @@ def run_online_pipeline(
 
         try:
             if prev_result is not None and (prev_result.scans & cur_result.scans):
-                mapping = associate_windows(prev_result, cur_result, ledger, assoc_iou)
+                mapping = associate_windows(prev_result, cur_result, ledger, config.assoc_iou)
             else:
                 mapping = {i: ledger.fresh() for i in range(1, assignment.n_instances + 1)}
         except ValidationError as exc:

@@ -6,6 +6,7 @@ from hypothesis import settings
 
 from pan4d import clustering
 from pan4d.clustering import ClusterFields
+from pan4d.config import RunConfig
 from pan4d.metrics import EvalConfig
 
 # derandomized: the same examples on every run, and no per-example deadline,
@@ -58,6 +59,14 @@ class MemorySequence:
 
     def pose(self, i):
         return self.data.poses[i]
+
+
+def run_config(volume, cluster, things, stuff=(), **run_values):
+    """The RunConfig of a library pipeline run: volume and cluster records,
+    a class map of the thing and stuff class sets, and run_values (seed,
+    assoc_iou, window_stride) over RunConfig's defaults."""
+    class_map = EvalConfig(classes=tuple(sorted({*things, *stuff})), things=frozenset(things))
+    return RunConfig(volume=volume, cluster=cluster, eval_config=class_map, **run_values)
 
 
 def oracle_providers(data):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from pan4d.clustering import ClusterParams
+from pan4d.config import RunConfig
 from pan4d.kitti_io import read_labels, read_point_scan, write_labels
 from pan4d.losses import (
     class_loss,
@@ -234,9 +235,9 @@ def test_criterion_8_desk_scale_pipeline(config):
         t0 = time.perf_counter()
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="importance", tau=4, fraction=0.10),
-            ClusterParams(feature_mode="emb", min_points=25),
-            thing_classes=config.things, stuff_classes={ROAD}, seed=0,
+            RunConfig(volume=VolumeConfig(strategy="importance", tau=4, fraction=0.10),
+                      cluster=ClusterParams(feature_mode="emb", min_points=25),
+                      eval_config=config, seed=0),
         )
         elapsed = time.perf_counter() - t0
         assert elapsed < 10.0

@@ -12,10 +12,11 @@ import yaml
 from pan4d import cli, kitti_io
 from pan4d.cli import main
 from pan4d.clustering import ClusterParams, read_cluster_fields, write_cluster_fields
-from pan4d.config import RunConfig
+from pan4d.config import RunConfig, load_yaml, run_config_from_sources
 from pan4d.errors import InvariantError
 from pan4d.kitti_io import PanopticLabels
 from pan4d.metrics import EvalConfig, evaluate
+from pan4d.tracking import run_online_pipeline
 from pan4d.volume import VolumeConfig
 
 from conftest import CAR, PERSON, count_field_checks
@@ -289,6 +290,10 @@ FILE_FAULTS = {
     "run-singular-calib-tr": (
         "run", lambda seq, pred, mp: (seq / "calib.txt").write_text(
             "Tr: 1 0 0 0 0 0 0 0 0 0 1 0\n"), 2, "calib.txt line 1 (Tr): singular matrix"),
+    "run-non-rigid-calib-tr": (
+        "run", lambda seq, pred, mp: (seq / "calib.txt").write_text(
+            "Tr: 2 0 0 0 0 2 0 0 0 0 2 0\n"), 2,
+        "calib.txt line 1 (Tr): pose rotation block is not orthonormal"),
     "run-non-finite-pose": (
         "run", lambda seq, pred, mp: _set_first_pose_value(seq, 3, "inf"), 2,
         "poses.txt line 3: non-finite value"),
@@ -299,6 +304,14 @@ FILE_FAULTS = {
         "run", lambda seq, pred, mp: _last(seq / "labels").unlink(), 2, "11 label files"),
     "run-fewer-sidecars-than-scans": (
         "run", lambda seq, pred, mp: _last(seq / "fields").unlink(), 2, "11 fields files"),
+    "run-label-file-renamed": (
+        "run", lambda seq, pred, mp: (seq / "labels" / "000003.label").rename(
+            seq / "labels" / "000099.label"), 2,
+        "scan 3 is velodyne/000003.bin but its labels/ file is 000004.label"),
+    "run-sidecar-renamed": (
+        "run", lambda seq, pred, mp: (seq / "fields" / "000002.p4de").rename(
+            seq / "fields" / "000077.p4de"), 2,
+        "scan 2 is velodyne/000002.bin but its fields/ file is 000003.p4de"),
     "run-fewer-poses-than-scans": (
         "run", lambda seq, pred, mp: _edit_poses(seq, lambda ls: ls[:-1]), 2, "only 11 poses"),
     "run-no-poses": (
@@ -420,6 +433,31 @@ class TestFieldChecks:
         assert run_pipeline(data_dir, tmp_path / "out") == 0
         assert len(list((tmp_path / "out" / "00" / "predictions").iterdir())) == 12
         assert calls == [VolumeConfig, ClusterParams]
+
+
+class TestLibraryRun:
+    @pytest.mark.parametrize("window_stride", ["1", "2"])
+    def test_one_run_config_gives_the_cli_labels(self, dataset, tmp_path, window_stride):
+        # the default feature mode; `pan4d run` seeds its first sequence [seed, 0]
+        _, data_dir = dataset
+        flags = {"strategy": "importance", "tau": "4", "window_stride": window_stride,
+                 "seed": "5"}
+        out = tmp_path / "out"
+        assert main(["run", "--data", str(data_dir), "--sequences", "00", "--out", str(out),
+                     "--config", str(data_dir / "classes.yaml"),
+                     *[a for k, v in flags.items() for a in _flags(k, v)]]) == 0
+        cfg = run_config_from_sources(load_yaml(data_dir / "classes.yaml"),
+                                      {**flags, "data_dir": data_dir, "out_dir": out})
+        seq = kitti_io.load_sequence(data_dir / "00")
+        got = []
+        run_online_pipeline(seq, lambda s: read_cluster_fields(seq.fields_path(s)),
+                            lambda s: seq.labels(s).semantic, replace(cfg, seed=[cfg.seed, 0]),
+                            emit=lambda s, labels: got.append((s, labels)))
+        assert [s for s, _ in got] == list(range(SCENE["n_scans"]))
+        for s, labels in got:
+            kitti_io.write_labels(labels, tmp_path / "lib.label")
+            cli_path = out / "00" / "predictions" / f"{s:06d}.label"
+            assert (tmp_path / "lib.label").read_bytes() == cli_path.read_bytes()
 
 
 class TestEvaluateConfigKeys:

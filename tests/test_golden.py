@@ -20,7 +20,7 @@ from pan4d.synth import ObjectSpec, SceneSpec, generate_sequence
 from pan4d.tracking import run_online_pipeline
 from pan4d.volume import VolumeConfig
 
-from conftest import CAR, PERSON, ROAD, MemorySequence
+from conftest import CAR, PERSON, ROAD, MemorySequence, run_config
 
 SCENE = SceneSpec(
     n_scans=7,
@@ -122,10 +122,9 @@ def run_case(strategy, tau, window_stride, mode):
     max_points = 300 if strategy == "thing" else None
     result = run_online_pipeline(
         MemorySequence(data), fields_fn, semantics_fn,
-        VolumeConfig(strategy=strategy, tau=tau, max_points=max_points),
-        ClusterParams(feature_mode=mode, min_points=10),
-        thing_classes={CAR, PERSON}, stuff_classes={ROAD}, seed=3,
-        window_stride=window_stride,
+        run_config(VolumeConfig(strategy=strategy, tau=tau, max_points=max_points),
+                   ClusterParams(feature_mode=mode, min_points=10), {CAR, PERSON}, {ROAD},
+                   seed=3, window_stride=window_stride),
     )
     return label_digest(result.labels)
 

@@ -652,6 +652,21 @@ class TestLabelRange:
         assert report.pq_per_class[CAR]["tp"] == 1
 
 
+class TestLabelPairLength:
+    """A (semantic, instance) pair whose arrays differ in length fails on
+    either side, instead of broadcasting one id over the scan or ending in a
+    numpy error."""
+
+    @pytest.mark.parametrize("side", ["gt", "pred"])
+    @pytest.mark.parametrize("instance", [[1], [1, 1, 0]], ids=["one-id", "three-ids"])
+    def test_unequal_pair_rejected(self, eval_config, side, instance):
+        ok = ([CAR, CAR, ROAD, ROAD], [1, 1, 1, 1])
+        bad = ([CAR, CAR, ROAD, ROAD], instance)
+        gt, pred = (bad, ok) if side == "gt" else (ok, bad)
+        with pytest.raises(ValidationError, match="equal-length"):
+            evaluate({"": [gt]}, {"": [pred]}, eval_config)
+
+
 class TestConfigValidation:
     def test_things_must_be_subset(self):
         with pytest.raises(ValidationError):

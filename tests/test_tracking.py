@@ -20,7 +20,8 @@ from pan4d.tracking import (
 )
 from pan4d.volume import VolumeConfig
 
-from conftest import CAR, PERSON, ROAD, MemorySequence, count_field_checks, oracle_providers
+from conftest import (CAR, PERSON, ROAD, MemorySequence, count_field_checks, oracle_providers,
+                      run_config)
 
 
 def window(window_id, entries, scans):
@@ -46,7 +47,7 @@ class TestAssociateWindows:
             {1, 2},
         )
         ledger = TrackLedger(next_id=3)
-        mapping = associate_windows(prev, cur, ledger)
+        mapping = associate_windows(prev, cur, ledger, iou_threshold=0.5)
         assert mapping == {7: 1, 8: 2}
         assert ledger.next_id == 3  # nothing fresh
 
@@ -96,7 +97,7 @@ class TestAssociateWindows:
         cur = window(1, [(1, p, 5, CAR) for p in range(4)], {1})
         ledger = TrackLedger(next_id=2)
         with caplog.at_level(logging.WARNING):
-            mapping = associate_windows(prev, cur, ledger)
+            mapping = associate_windows(prev, cur, ledger, iou_threshold=0.5)
         assert mapping == {5: 2}
         assert any("no scans" in r.message for r in caplog.records)
 
@@ -106,14 +107,14 @@ class TestAssociateWindows:
         prev = window(0, [(1, p, 6, CAR) for p in range(100)], {0, 1})
         cur = window(1, [(1, p, 30, CAR) for p in range(0, 100, 10)], {1, 2})
         ledger = TrackLedger(next_id=7)
-        mapping = associate_windows(prev, cur, ledger)
+        mapping = associate_windows(prev, cur, ledger, iou_threshold=0.5)
         assert mapping == {30: 6}
 
     def test_fresh_id_beyond_label_field_rejected_when_issued(self):
         prev = window(0, [(0, 0, 1, CAR)], {0})
         cur = window(1, [(1, p, 1, CAR) for p in range(3)], {1})
         with pytest.raises(ValidationError, match="16-bit"):
-            associate_windows(prev, cur, TrackLedger(next_id=0x10000))
+            associate_windows(prev, cur, TrackLedger(next_id=0x10000), iou_threshold=0.5)
 
     def test_last_id_of_label_field_still_issued(self):
         ledger = TrackLedger(next_id=0xFFFF)
@@ -127,7 +128,7 @@ class TestAssociateWindows:
         issued = []
         for w in range(1, 4):
             cur = window(w, [(w, p, 1, CAR) for p in range(3)], {w})
-            mapping = associate_windows(prev, cur, ledger)
+            mapping = associate_windows(prev, cur, ledger, iou_threshold=0.5)
             issued.append(mapping[1])
             prev = cur
         assert issued == sorted(issued)
@@ -160,8 +161,7 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="importance", tau=4),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+            run_config(VolumeConfig(strategy="importance", tau=4), oracle_params(), {CAR}, seed=0),
         )
         assert result.n_instances == 1
         for labels in result.labels:
@@ -176,8 +176,7 @@ class TestOnlinePipeline:
         data = generate_sequence(single_object_scene(n_scans=8))
         run_online_pipeline(
             MemorySequence(data), *oracle_providers(data),
-            VolumeConfig(strategy="importance", tau=4),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+            run_config(VolumeConfig(strategy="importance", tau=4), oracle_params(), {CAR}, seed=0),
             emit=lambda s, labels: emitted.append(s),
         )
         assert built == list(range(8))  # one ScanState per scan
@@ -188,8 +187,7 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="base", tau=1),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+            run_config(VolumeConfig(strategy="base", tau=1), oracle_params(), {CAR}, seed=0),
         )
         assert result.n_instances == 6
         ids = [int(labels.instance[0]) for labels in result.labels]
@@ -211,8 +209,8 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="importance", tau=4),
-            oracle_params(), thing_classes={CAR, PERSON}, stuff_classes=set(), seed=1,
+            run_config(VolumeConfig(strategy="importance", tau=4), oracle_params(), {CAR, PERSON},
+                       seed=1),
         )
         assert result.n_instances == 2
         for labels, gt in zip(result.labels, data.labels):
@@ -231,8 +229,8 @@ class TestOnlinePipeline:
         def run():
             return run_online_pipeline(
                 MemorySequence(data), fields_fn, semantics_fn,
-                VolumeConfig(strategy="importance", tau=3),
-                oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=9,
+                run_config(VolumeConfig(strategy="importance", tau=3), oracle_params(), {CAR},
+                           seed=9),
             )
 
         a, b = run(), run()
@@ -246,8 +244,7 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy=strategy, tau=tau),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=4,
+            run_config(VolumeConfig(strategy=strategy, tau=tau), oracle_params(), {CAR}, seed=4),
         )
         assert result.n_instances == 1
 
@@ -256,8 +253,8 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="stride", tau=4, stride=2),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=3,
+            run_config(VolumeConfig(strategy="stride", tau=4, stride=2), oracle_params(), {CAR},
+                       seed=3),
         )
         assert result.n_instances == 1
         for labels in result.labels:
@@ -268,9 +265,8 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="importance", tau=4),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=2,
-            window_stride=2,
+            run_config(VolumeConfig(strategy="importance", tau=4), oracle_params(), {CAR}, seed=2,
+                       window_stride=2),
         )
         assert result.n_instances == 1
         assert len(result.labels) == 11
@@ -295,9 +291,8 @@ class TestOnlinePipeline:
         fields_fn, semantics_fn = oracle_providers(data)
         result = run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="stride", tau=4),
-            oracle_params(), thing_classes={CAR, PERSON}, stuff_classes={ROAD}, seed=1,
-            window_stride=2,
+            run_config(VolumeConfig(strategy="stride", tau=4), oracle_params(), {CAR, PERSON},
+                       {ROAD}, seed=1, window_stride=2),
         )
         assert result.n_instances == 2
         assert len(result.labels) == 20
@@ -319,20 +314,14 @@ class TestOnlinePipeline:
         with pytest.raises(ValidationError, match=r"window ending at scan 1: .*16-bit"):
             run_online_pipeline(
                 MemorySequence(data), fields_fn, semantics_fn,
-                VolumeConfig(strategy="base", tau=1),
-                oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
+                run_config(VolumeConfig(strategy="base", tau=1), oracle_params(), {CAR}, seed=0),
             )
 
+    # the window rules hold at RunConfig construction, before any scan is read
     def test_window_stride_beyond_tau_rejected(self):
-        data = generate_sequence(single_object_scene(n_scans=4))
-        fields_fn, semantics_fn = oracle_providers(data)
-        with pytest.raises(Exception, match="window_stride"):
-            run_online_pipeline(
-                MemorySequence(data), fields_fn, semantics_fn,
-                VolumeConfig(strategy="importance", tau=2),
-                oracle_params(), thing_classes={CAR}, stuff_classes=set(),
-                window_stride=3,
-            )
+        with pytest.raises(ValidationError, match=r"window_stride must lie in \[1, tau=2\]"):
+            run_config(VolumeConfig(strategy="importance", tau=2), oracle_params(), {CAR},
+                       window_stride=3)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"assoc_iou": 1.0}, "assoc_iou"),
@@ -341,13 +330,9 @@ class TestOnlinePipeline:
         ({"seed": [0, -1]}, "seed"),
     ])
     def test_bad_association_or_seed_rejected(self, kwargs, message):
-        data = generate_sequence(single_object_scene(n_scans=6))
         with pytest.raises(ValidationError, match=message):
-            run_online_pipeline(
-                MemorySequence(data), *oracle_providers(data),
-                VolumeConfig(strategy="importance", tau=4),
-                oracle_params(), thing_classes={CAR}, stuff_classes=set(), **kwargs,
-            )
+            run_config(VolumeConfig(strategy="importance", tau=4), oracle_params(), {CAR},
+                       **kwargs)
 
     def test_identity_preserved_when_shared_sets_identical(self):
         # direct check of the invariant at the association level
@@ -361,7 +346,7 @@ class TestOnlinePipeline:
                 + [(w, p, 40 + w, CAR) for p in range(8)],
                 {w - 1, w},
             )
-            mapping = associate_windows(prev, cur, ledger)
+            mapping = associate_windows(prev, cur, ledger, iou_threshold=0.5)
             assert mapping[40 + w] == global_id
             cur.instance[cur.instance == 40 + w] = mapping[40 + w]
             prev = cur
@@ -375,12 +360,11 @@ class TestStreamingEmit:
     def test_emits_in_order_and_matches_collected_labels(self, window_stride):
         data = generate_sequence(single_object_scene(n_scans=11))
         args = (MemorySequence(data), *oracle_providers(data),
-                VolumeConfig(strategy="importance", tau=4), oracle_params())
-        kwargs = dict(thing_classes={CAR}, stuff_classes=set(), seed=2,
-                      window_stride=window_stride)
+                run_config(VolumeConfig(strategy="importance", tau=4), oracle_params(), {CAR},
+                           seed=2, window_stride=window_stride))
         got = []
-        streamed = run_online_pipeline(*args, **kwargs, emit=lambda s, l: got.append((s, l)))
-        collected = run_online_pipeline(*args, **kwargs)
+        streamed = run_online_pipeline(*args, emit=lambda s, l: got.append((s, l)))
+        collected = run_online_pipeline(*args)
         assert streamed.labels is None
         assert [s for s, _ in got] == list(range(11))
         for (_, a), b in zip(got, collected.labels):
@@ -405,9 +389,9 @@ class TestStreamingEmit:
 
         result = run_online_pipeline(
             MemorySequence(data), *oracle_providers(data),
-            VolumeConfig(strategy="thing", tau=tau), oracle_params(),
-            thing_classes={CAR}, stuff_classes=set(), seed=0,
-            window_stride=window_stride, emit=emit,
+            run_config(VolumeConfig(strategy="thing", tau=tau), oracle_params(), {CAR}, seed=0,
+                       window_stride=window_stride),
+            emit=emit,
         )
         assert result.labels is None
         assert sorted(refs) == list(range(n_scans))
@@ -454,9 +438,8 @@ class TestCoordinateOnlyFields:
         data = generate_sequence(single_object_scene(n_scans=6))
         return run_online_pipeline(
             MemorySequence(data), fields_fn_of(data), oracle_providers(data)[1],
-            VolumeConfig(strategy="importance", tau=3),
-            ClusterParams(feature_mode=mode, min_points=20),
-            thing_classes={CAR}, stuff_classes=set(), seed=0,
+            run_config(VolumeConfig(strategy="importance", tau=3),
+                       ClusterParams(feature_mode=mode, min_points=20), {CAR}, seed=0),
         )
 
     @staticmethod
@@ -484,9 +467,8 @@ class TestLoadScanValidation:
     def run(self, fields_fn, semantics_fn, data, window_stride=1):
         run_online_pipeline(
             MemorySequence(data), fields_fn, semantics_fn,
-            VolumeConfig(strategy="importance", tau=2),
-            oracle_params(), thing_classes={CAR}, stuff_classes=set(), seed=0,
-            window_stride=window_stride,
+            run_config(VolumeConfig(strategy="importance", tau=2), oracle_params(), {CAR}, seed=0,
+                       window_stride=window_stride),
         )
 
     @pytest.mark.parametrize("window_stride", [1, 2])
